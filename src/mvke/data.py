@@ -18,7 +18,6 @@ checks can compute the Bayes-optimal AUC bound.
 
 from __future__ import annotations
 
-import base64
 import json
 import math
 from dataclasses import dataclass, field
@@ -27,6 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import diffgraph as dg
 from .errors import ConfigError, DataError
 from .model import FieldSchema, Task
 
@@ -56,9 +56,6 @@ class Example:
             raise DataError("conversion without click violates the action sequence")
 
 
-Dataset = list
-
-
 @dataclass(frozen=True)
 class GeneratorConfig:
     n_users: int = 10_000
@@ -81,16 +78,6 @@ class GeneratorConfig:
                 raise ConfigError(f"{name} must be positive")
         if self.negative_ratio < 0:
             raise ConfigError("negative_ratio must be >= 0")
-
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "n_users", "n_tags", "n_ads", "n_impressions", "n_test_impressions",
-            "latent_dim", "n_facets", "negative_ratio", "click_offset",
-            "conv_offset", "affinity_scale", "seed")}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GeneratorConfig":
-        return cls(**d)
 
 
 def schema_for(config: GeneratorConfig, embed_dim: int = 16) -> FieldSchema:
@@ -158,9 +145,9 @@ class GroundTruth:
             "tag_facets": [int(f) for f in self.tag_facets],
             "train_span": list(self.train_span),
             "test_span": list(self.test_span),
-            "user_click": _encode_array(self.user_click),
-            "user_conv": _encode_array(self.user_conv),
-            "tag_vectors": _encode_array(self.tag_vectors),
+            "user_click": dg.encode_array(self.user_click),
+            "user_conv": dg.encode_array(self.user_conv),
+            "tag_vectors": dg.encode_array(self.tag_vectors),
         }
         Path(path).write_text(json.dumps(doc, separators=(",", ":")) + "\n",
                               encoding="utf-8")
@@ -169,9 +156,9 @@ class GroundTruth:
     def load(cls, path) -> "GroundTruth":
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
         return cls(
-            user_click=_decode_array(doc["user_click"]),
-            user_conv=_decode_array(doc["user_conv"]),
-            tag_vectors=_decode_array(doc["tag_vectors"]),
+            user_click=dg.decode_array(doc["user_click"]),
+            user_conv=dg.decode_array(doc["user_conv"]),
+            tag_vectors=dg.decode_array(doc["tag_vectors"]),
             tag_facets=np.array(doc["tag_facets"], dtype=np.int64),
             click_offset=doc["click_offset"],
             conv_offset=doc["conv_offset"],
@@ -187,16 +174,6 @@ def _sigmoid(z: float) -> float:
         return 1.0 / (1.0 + math.exp(-z))
     e = math.exp(z)
     return e / (1.0 + e)
-
-
-def _encode_array(arr: np.ndarray) -> dict:
-    return {"shape": list(arr.shape),
-            "data": base64.b64encode(arr.astype("<f8").tobytes()).decode("ascii")}
-
-
-def _decode_array(doc: dict) -> np.ndarray:
-    raw = base64.b64decode(doc["data"])
-    return np.frombuffer(raw, dtype="<f8").reshape(tuple(doc["shape"])).copy()
 
 
 def _jsonable_fields(field_values: tuple) -> list:
@@ -248,7 +225,7 @@ def _field_latents(rng: np.random.Generator, user_fields: list[tuple],
 
 
 def _draw_impressions(rng: np.random.Generator, config: GeneratorConfig,
-                      truth: GroundTruth, n_rows: int) -> Dataset:
+                      truth: GroundTruth, n_rows: int) -> list[Example]:
     """Draw labeled impressions; each click enqueues sampled negative rows."""
     rows: list[Example] = []
     pending_negatives = 0
@@ -271,7 +248,7 @@ def _draw_impressions(rng: np.random.Generator, config: GeneratorConfig,
     return rows
 
 
-def generate(config: GeneratorConfig) -> tuple[Dataset, Dataset, GroundTruth]:
+def generate(config: GeneratorConfig) -> tuple[list[Example], list[Example], GroundTruth]:
     """Build train and test splits plus the ground truth behind them.
 
     The splits are disjoint draws from one seeded stream; their global
@@ -341,7 +318,7 @@ def write_dataset(dataset: Iterable[Example], path) -> None:
             fh.write(json.dumps(record, separators=(",", ":")) + "\n")
 
 
-def read_dataset(path) -> Dataset:
+def read_dataset(path) -> list[Example]:
     rows: list[Example] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):

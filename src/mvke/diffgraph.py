@@ -15,7 +15,8 @@ import base64
 import json
 import math
 from contextlib import contextmanager
-from typing import Callable, Iterable, Sequence
+from pathlib import Path
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -41,10 +42,6 @@ def set_precision(name: str) -> None:
 
 def precision_name() -> str:
     return "f32" if _dtype is np.float32 else "f64"
-
-
-def float_dtype() -> type:
-    return _dtype
 
 
 @contextmanager
@@ -127,30 +124,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=_dtype))
@@ -213,17 +186,6 @@ def mul(a, b) -> Tensor:
                 _unbroadcast(g * a.data, b.data.shape))
 
     return _node(out, "mul", (a, b), grad_fn)
-
-
-def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = a.data / b.data
-
-    def grad_fn(g):
-        return (_unbroadcast(g / b.data, a.data.shape),
-                _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return _node(out, "div", (a, b), grad_fn)
 
 
 def neg(a) -> Tensor:
@@ -347,16 +309,6 @@ def sigmoid(a: Tensor) -> Tensor:
         return (g * out * (1.0 - out),)
 
     return _node(out, "sigmoid", (a,), grad_fn)
-
-
-def exp(a: Tensor) -> Tensor:
-    a = as_tensor(a)
-    out = np.exp(a.data)
-
-    def grad_fn(g):
-        return (g * out,)
-
-    return _node(out, "exp", (a,), grad_fn)
 
 
 def log(a: Tensor) -> Tensor:
@@ -541,9 +493,8 @@ def backward(loss: Tensor) -> None:
             parent.grad = pg if parent.grad is None else parent.grad + pg
 
 
-def zero_grads(params: Iterable[Tensor] | dict) -> None:
-    tensors = params.values() if isinstance(params, dict) else params
-    for t in tensors:
+def zero_grads(params: dict[str, Tensor]) -> None:
+    for t in params.values():
         t.zero_grad()
 
 
@@ -601,40 +552,75 @@ def grad_check(f: Callable[[], Tensor], params: dict[str, Tensor],
 
 
 # ---------------------------------------------------------------------------
-# checkpoint I/O: one JSON object per line, values as little-endian base64
+# array codec, shared by checkpoints, serving caches and the ground truth:
+# a dtype name ("f32" or "f64") stands for little-endian bytes of that width
+
+
+def dtype_name(arr: np.ndarray) -> str:
+    """Codec name of an array: ``"f32"`` for float32, ``"f64"`` otherwise."""
+    return "f32" if arr.dtype == np.float32 else "f64"
+
+
+def codec_dtype(name) -> np.dtype:
+    """Little-endian numpy dtype for a codec name; DataError for any other name."""
+    if not isinstance(name, str) or name not in _DTYPES:
+        raise DataError(f"unknown dtype {name!r}, expected 'f32' or 'f64'")
+    return np.dtype(_DTYPES[name]).newbyteorder("<")
+
+
+def encode_array(arr: np.ndarray) -> dict:
+    """``{"shape", "dtype", "data"}`` record; ``data`` is base64 of the bytes."""
+    name = dtype_name(arr)
+    data = base64.b64encode(arr.astype(codec_dtype(name)).tobytes()).decode("ascii")
+    return {"shape": list(arr.shape), "dtype": name, "data": data}
+
+
+def decode_array(record: dict) -> np.ndarray:
+    """Writable native-order array from an ``encode_array`` record.
+
+    Raises DataError for a missing key, an unknown dtype, invalid base64 or
+    a payload whose length does not fill the shape.
+    """
+    try:
+        code = codec_dtype(record["dtype"])
+        shape = tuple(record["shape"])
+        raw = base64.b64decode(record["data"], validate=True)
+    except (KeyError, TypeError, ValueError) as e:
+        raise DataError(f"malformed array record: {e!r}") from e
+    if (not all(type(n) is int and n >= 0 for n in shape)
+            or len(raw) != math.prod(shape) * code.itemsize):
+        raise DataError(f"{len(raw)} payload bytes do not fill shape {list(shape)} "
+                        f"of {record['dtype']}")
+    return np.frombuffer(raw, dtype=code).reshape(shape).astype(code.newbyteorder("="))
+
+
+# ---------------------------------------------------------------------------
+# checkpoint I/O: one JSON object per line, name plus an array record
 
 
 def save_params(params: dict[str, Tensor], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for name, t in params.items():
-            code = "<f4" if t.data.dtype == np.float32 else "<f8"
-            record = {
-                "name": name,
-                "shape": list(t.data.shape),
-                "dtype": "f32" if code == "<f4" else "f64",
-                "data": base64.b64encode(t.data.astype(code).tobytes()).decode("ascii"),
-            }
+            record = {"name": name, **encode_array(t.data)}
             fh.write(json.dumps(record, separators=(",", ":")) + "\n")
 
 
 def load_params(path) -> dict[str, Tensor]:
+    """Parameters from ``save_params``; DataError naming the file and line."""
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as e:
+        raise DataError(f"cannot read checkpoint {path}: {e}") from e
     params: dict[str, Tensor] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                name = record["name"]
-                shape = tuple(record["shape"])
-                code = "<f4" if record["dtype"] == "f32" else "<f8"
-                raw = base64.b64decode(record["data"])
-                arr = np.frombuffer(raw, dtype=code).reshape(shape).copy()
-            except (KeyError, ValueError, TypeError) as e:
-                raise DataError(f"malformed checkpoint line {lineno}: {e}") from e
-            if name in params:
-                raise DataError(f"duplicate parameter {name!r} at line {lineno}")
-            arr = arr.astype(np.float32 if record["dtype"] == "f32" else np.float64)
-            params[name] = raw_tensor(arr, requires_grad=True)
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+            name = record["name"]
+            if not isinstance(name, str) or name in params:
+                raise DataError(f"duplicate or non-string parameter name {name!r}")
+            params[name] = raw_tensor(decode_array(record), requires_grad=True)
+        except (KeyError, TypeError, ValueError, DataError) as e:
+            raise DataError(f"{path}: malformed checkpoint line {lineno}: {e}") from e
     return params

@@ -7,9 +7,10 @@ Two models share the same tag tower and scoring head:
   a tag-conditioned gate;
 * a plain two-tower baseline: mean field embedding through a small MLP.
 
-All forward functions are pure in the parameters; the thin model classes
-only add construction, prediction batching and tower invocation counters
-for the serving path.
+All forward functions are pure in the parameters and take batches only:
+one example is a batch of one. The thin model classes only add
+construction, prediction batching and tower invocation counters for the
+serving path.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -60,10 +61,6 @@ class FieldSchema:
         for name, vocab in self.user_fields:
             if vocab < 1:
                 raise ConfigError(f"field {name!r} has empty vocab")
-
-    @property
-    def n_fields(self) -> int:
-        return len(self.user_fields)
 
     @property
     def field_names(self) -> tuple[str, ...]:
@@ -357,9 +354,9 @@ def _pooled_lookup(table: Tensor, idx: np.ndarray, weight: np.ndarray) -> Tensor
     return dg.reduce_sum(dg.mul(rows, dg.reshape(w, (*weight.shape, 1))), axis=1)
 
 
-def embed_user_fields_batch(batch: EncodedBatch, params: dict[str, Tensor],
-                            schema: FieldSchema) -> Tensor:
-    """Field embeddings for a batch, shape [B, m, d]."""
+def embed_user_fields(batch: EncodedBatch, params: dict[str, Tensor],
+                      schema: FieldSchema) -> Tensor:
+    """Field embeddings [B, m, d]; a multi-valued field is mean-pooled into one row."""
     cols = []
     for j, (fname, _) in enumerate(schema.user_fields):
         emb = _pooled_lookup(params[f"user_embed.{fname}"],
@@ -368,45 +365,12 @@ def embed_user_fields_batch(batch: EncodedBatch, params: dict[str, Tensor],
     return dg.concat(cols, axis=1)
 
 
-def embed_user_fields(field_values: Sequence, params: dict[str, Tensor],
-                      schema: FieldSchema) -> Tensor:
-    """Single-example field embeddings, shape [m, d].
-
-    ``field_values[j]`` is an int or an iterable of ints; multi-valued
-    fields are mean-pooled into one row.
-    """
-    if len(field_values) != schema.n_fields:
-        raise DataError(f"expected {schema.n_fields} field values, got {len(field_values)}")
-    rows = []
-    for j, (fname, vocab) in enumerate(schema.user_fields):
-        raw = field_values[j]
-        ids = tuple(raw) if isinstance(raw, (tuple, list)) else (int(raw),)
-        if not ids:
-            raise DataError(f"field {fname!r} has no values")
-        for v in ids:
-            if not 0 <= v < vocab:
-                raise DataError(f"field {fname!r}: id {v} out of vocab range [0, {vocab})")
-        idx, weight = _pad_ids([ids])
-        rows.append(_pooled_lookup(params[f"user_embed.{fname}"], idx, weight))
-    return dg.concat(rows, axis=0)
-
-
-def tag_tower_batch(tag_idx: np.ndarray, tag_weight: np.ndarray, task: Task,
-                    params: dict[str, Tensor]) -> Tensor:
+def tag_tower(tag_idx: np.ndarray, tag_weight: np.ndarray, task: Task,
+              params: dict[str, Tensor]) -> Tensor:
     """Tag embeddings [B, d]: mean of tag rows, then affine + tanh."""
     prefix = f"tag_tower.{task.value}"
     pooled = _pooled_lookup(params[f"{prefix}.embed"], tag_idx, tag_weight)
     return dg.tanh(_affine(pooled, params, f"{prefix}.proj"))
-
-
-def tag_tower(tags: Iterable[int], task: Task, params: dict[str, Tensor]) -> Tensor:
-    """Tower output [d] for one tag set; a singleton set is the serving case."""
-    ids = tuple(sorted(set(int(t) for t in tags)))
-    if not ids:
-        raise DataError("tag set must be nonempty")
-    idx, weight = _pad_ids([ids])
-    out = tag_tower_batch(idx, weight, task, params)
-    return dg.reshape(out, (out.shape[1],))
 
 
 def _expert_query(expert_index: int, params: dict[str, Tensor]) -> Tensor:
@@ -423,17 +387,10 @@ def _expert_head(x: Tensor, expert_index: int, params: dict[str, Tensor]) -> Ten
 
 def vke_attention(field_embeddings: Tensor, expert_index: int,
                   params: dict[str, Tensor]) -> tuple[Tensor, Tensor]:
-    """Kernel-queried attention over field embeddings.
+    """Kernel-queried attention over field embeddings [B, m, d].
 
-    2-d input [m, d] gives (context [1, d], weights [1, m]); 3-d input
-    [B, m, d] gives (context [B, d], weights [B, m]).
+    Returns (context [B, d], weights [B, m]).
     """
-    if field_embeddings.ndim == 2:
-        q = _expert_query(expert_index, params)
-        keys = dg.tanh(_affine(field_embeddings, params, f"expert.{expert_index}.k_proj"))
-        values = dg.tanh(_affine(field_embeddings, params, f"expert.{expert_index}.v_proj"))
-        return dg.scaled_dot_attention(q, keys, values)
-
     b, m, d = field_embeddings.shape
     flat = dg.reshape(field_embeddings, (b * m, d))
     q = _expert_query(expert_index, params)
@@ -449,65 +406,50 @@ def vke_attention(field_embeddings: Tensor, expert_index: int,
 
 def vke_forward(field_embeddings: Tensor, expert_index: int,
                 params: dict[str, Tensor]) -> Tensor:
-    """One expert's user embedding: attention context through its MLP head.
-
-    Returns [d] for a single example ([m, d] input) or [B, d] for a batch.
-    """
+    """One expert's user embeddings [B, d]: attention context through its MLP head."""
     ctx, _ = vke_attention(field_embeddings, expert_index, params)
-    out = _expert_head(ctx, expert_index, params)
-    if field_embeddings.ndim == 2:
-        return dg.reshape(out, (out.shape[1],))
-    return out
+    return _expert_head(ctx, expert_index, params)
 
 
 def gate_weights_for_tags(tag_embeddings: Tensor, task: Task,
                           params: dict[str, Tensor],
                           routing: ExpertRouting) -> Tensor:
-    """Gate distribution [B, n_task] from tag embeddings and virtual kernels.
+    """Gate distribution [B, n_task] from tag embeddings [B, d] and virtual kernels.
 
     Depends only on the tag side and the kernels; user features never
     enter, which is what makes the serving cache exact.
     """
     experts = routing.task_experts(task)
-    if not experts:
-        raise ConfigError(f"no experts routed to task {task.value}")
     d = tag_embeddings.shape[-1]
     kernels = dg.gather_rows(params["virtual_kernels"], np.array(experts))
     keys = dg.tanh(_affine(kernels, params, f"gate.{task.value}.k_proj"))
-    single = tag_embeddings.ndim == 1
-    q_in = dg.reshape(tag_embeddings, (1, d)) if single else tag_embeddings
-    queries = dg.tanh(_affine(q_in, params, f"gate.{task.value}.q_proj"))
+    queries = dg.tanh(_affine(tag_embeddings, params, f"gate.{task.value}.q_proj"))
     logits = dg.mul(dg.matmul(queries, dg.transpose(keys)), 1.0 / math.sqrt(d))
     return dg.softmax(logits, axis=-1)
 
 
-def vkg_combine(vke_outputs: Tensor, tag_embedding: Tensor, task: Task,
+def vkg_combine(vke_outputs: Tensor, tag_embeddings: Tensor, task: Task,
                 params: dict[str, Tensor],
                 routing: ExpertRouting) -> tuple[Tensor, Tensor]:
     """Mix expert outputs with tag-conditioned attention weights.
 
-    ``vke_outputs`` rows are ordered by ascending expert index within the
-    task's routing set. Single example: [n, d] x [d] -> ([d], [n]).
-    Batch: [B, n, d] x [B, d] -> ([B, d], [B, n]). The expert outputs pass
-    through as values unchanged so cached mixing stays lossless.
+    ``vke_outputs`` [B, n, d] has its rows ordered by ascending expert index
+    within the task's routing set; with tag embeddings [B, d] the result is
+    (mixed [B, d], weights [B, n]). The expert outputs pass through as
+    values unchanged so cached mixing stays lossless.
     """
-    single = vke_outputs.ndim == 2
-    weights = gate_weights_for_tags(tag_embedding, task, params, routing)
-    n = len(routing.task_experts(task))
-    if vke_outputs.shape[-2] != n:
-        raise ConfigError(
-            f"expected {n} expert outputs for task {task.value}, got {vke_outputs.shape}")
-    outs = dg.reshape(vke_outputs, (1, *vke_outputs.shape)) if single else vke_outputs
-    b, _, d = outs.shape
-    mixed = dg.reduce_sum(dg.mul(outs, dg.reshape(weights, (b, n, 1))), axis=1)
-    if single:
-        return dg.reshape(mixed, (d,)), dg.reshape(weights, (n,))
+    weights = gate_weights_for_tags(tag_embeddings, task, params, routing)
+    b, n = weights.shape
+    if vke_outputs.shape[:2] != (b, n):
+        raise ConfigError(f"expected {b} x {n} expert outputs for task {task.value}, "
+                          f"got {vke_outputs.shape}")
+    mixed = dg.reduce_sum(dg.mul(vke_outputs, dg.reshape(weights, (b, n, 1))), axis=1)
     return mixed, weights
 
 
 def score_pair(user_embedding: Tensor, tag_embedding: Tensor, task: Task,
                params: dict[str, Tensor]) -> Tensor:
-    """Probability sigmoid(tau * cos(user, tag)); tau is learnable per task."""
+    """Probabilities [B] = sigmoid(tau * cos(user, tag)) row-wise; tau is learnable per task."""
     cos = dg.cosine_similarity(user_embedding, tag_embedding)
     return dg.sigmoid(dg.mul(cos, params[f"temperature.{task.value}"]))
 
@@ -520,7 +462,7 @@ def mvke_forward(batch: EncodedBatch, cfg: ModelConfig, params: dict[str, Tensor
     ``{task: (probabilities [B], gate_weights [B, n_task])}``.
     """
     routing = cfg.routing
-    fields = embed_user_fields_batch(batch, params, cfg.schema)
+    fields = embed_user_fields(batch, params, cfg.schema)
     needed = sorted({e for task in tasks for e in routing.task_experts(task)})
     expert_out = {e: vke_forward(fields, e, params) for e in needed}
     result: dict[Task, tuple[Tensor, Tensor]] = {}
@@ -529,7 +471,7 @@ def mvke_forward(batch: EncodedBatch, cfg: ModelConfig, params: dict[str, Tensor
         stacked = dg.concat(
             [dg.reshape(expert_out[e], (batch.size, 1, cfg.schema.embed_dim))
              for e in experts], axis=1)
-        tag_emb = tag_tower_batch(batch.tag_idx, batch.tag_weight, task, params)
+        tag_emb = tag_tower(batch.tag_idx, batch.tag_weight, task, params)
         user_emb, gates = vkg_combine(stacked, tag_emb, task, params, routing)
         result[task] = (score_pair(user_emb, tag_emb, task, params), gates)
     return result
@@ -538,7 +480,7 @@ def mvke_forward(batch: EncodedBatch, cfg: ModelConfig, params: dict[str, Tensor
 def two_tower_user_embedding(batch: EncodedBatch, cfg: ModelConfig,
                              params: dict[str, Tensor]) -> Tensor:
     """Baseline user tower [B, d]: mean field embedding through a 2-layer MLP."""
-    fields = embed_user_fields_batch(batch, params, cfg.schema)
+    fields = embed_user_fields(batch, params, cfg.schema)
     pooled = dg.reduce_mean(fields, axis=1)
     hidden = dg.relu(dg.add(dg.matmul(pooled, params["user_mlp.w1"]),
                             params["user_mlp.b1"]))
@@ -549,7 +491,7 @@ def two_tower_forward(batch: EncodedBatch, cfg: ModelConfig,
                       params: dict[str, Tensor], task: Task) -> Tensor:
     """Baseline: mean field embedding -> 2-layer MLP -> cosine score."""
     user_emb = two_tower_user_embedding(batch, cfg, params)
-    tag_emb = tag_tower_batch(batch.tag_idx, batch.tag_weight, task, params)
+    tag_emb = tag_tower(batch.tag_idx, batch.tag_weight, task, params)
     return score_pair(user_emb, tag_emb, task, params)
 
 
@@ -590,7 +532,7 @@ class MvkeModel:
         """All expert outputs for a batch of users, shape [B, k, d]."""
         self.counters["user_tower"] += batch.size
         with dg.no_grad():
-            fields = embed_user_fields_batch(batch, self.params, self.cfg.schema)
+            fields = embed_user_fields(batch, self.params, self.cfg.schema)
             outs = [vke_forward(fields, e, self.params)
                     for e in range(self.cfg.routing.n_experts)]
             return np.stack([o.data for o in outs], axis=1)
@@ -600,19 +542,10 @@ class MvkeModel:
         self.counters["tag_tower"] += len(tag_ids)
         idx, weight = _pad_ids([(int(t),) for t in tag_ids])
         with dg.no_grad():
-            emb = tag_tower_batch(idx, weight, task, self.params)
+            emb = tag_tower(idx, weight, task, self.params)
             gates = gate_weights_for_tags(emb, task, self.params, self.cfg.routing)
         tau = float(self.params[f"temperature.{task.value}"].data)
         return emb.data.copy(), gates.data.copy(), tau
-
-    def pair_score(self, example, task: Task) -> float:
-        """Naive per-pair scoring: one full user plus tag tower pass."""
-        self.counters["user_tower"] += 1
-        self.counters["tag_tower"] += 1
-        batch = encode_examples([example], self.cfg.schema)
-        with dg.no_grad():
-            out = mvke_forward(batch, self.cfg, self.params, (task,))
-        return float(out[task][0].data[0])
 
 
 class TwoTowerModel:
@@ -663,15 +596,33 @@ def save_model(model, out_dir) -> None:
 
 
 def load_model(ckpt_dir):
+    """Model from ``save_model``; DataError naming the file for a bad checkpoint.
+
+    The parameter names and shapes must be the ones the config builds.
+    """
     ckpt = Path(ckpt_dir)
     meta_path = ckpt / "model.json"
     if not meta_path.exists():
         raise DataError(f"no model.json under {ckpt}")
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    cfg = ModelConfig.from_dict(meta["config"])
-    params = dg.load_params(ckpt / "params.jsonl")
-    if meta["kind"] == "mvke":
+    try:
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        kind = meta["kind"]
+        cfg = ModelConfig.from_dict(meta["config"])
+        task = Task(meta["task"]) if kind == "two_tower" else None
+    except KeyError as e:
+        raise DataError(f"{meta_path} has no key {e}") from e
+    except (ConfigError, OSError, TypeError, ValueError) as e:
+        raise DataError(f"bad {meta_path}: {e}") from e
+    if kind not in ("mvke", "two_tower"):
+        raise DataError(f"unknown model kind {kind!r} in {meta_path}")
+    params_path = ckpt / "params.jsonl"
+    params = dg.load_params(params_path)
+    built = init_mvke_params(cfg, 0) if task is None else init_two_tower_params(cfg, task, 0)
+    wrong = sorted(name for name in built.keys() | params.keys()
+                   if name not in built or name not in params
+                   or built[name].shape != params[name].shape)
+    if wrong:
+        raise DataError(f"{params_path}: names or shapes differ from the config at {wrong[:5]}")
+    if task is None:
         return MvkeModel(cfg, params=params)
-    if meta["kind"] == "two_tower":
-        return TwoTowerModel(cfg, Task(meta["task"]), params=params)
-    raise DataError(f"unknown model kind {meta['kind']!r}")
+    return TwoTowerModel(cfg, task, params=params)

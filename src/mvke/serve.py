@@ -20,11 +20,48 @@ from typing import Sequence
 
 import numpy as np
 
+from . import diffgraph as dg
 from .errors import ConfigError, DataError
 from .model import MvkeModel, Task, TASKS, encode_examples
 from .data import Example
 
 _HEADER = struct.Struct("<qqq")  # (vectors per row, vector dim, row count)
+
+
+def _write_cache(bin_path, index_path, header: tuple[int, int, int],
+                 payload: np.ndarray, index: dict) -> None:
+    """Header plus little-endian payload, and a JSON index that names the dtype."""
+    dtype = dg.dtype_name(payload)
+    with open(bin_path, "wb") as fh:
+        fh.write(_HEADER.pack(*header))
+        fh.write(np.ascontiguousarray(payload, dtype=dg.codec_dtype(dtype)).tobytes())
+    Path(index_path).write_text(json.dumps({**index, "dtype": dtype}, separators=(",", ":"))
+                                + "\n", encoding="utf-8")
+
+
+def _read_cache(bin_path, index_path, row_width) -> tuple[dict, int, int, np.ndarray]:
+    """(index, a, b, rows [n, row_width(a, b)]) of a cache with header (a, b, n).
+
+    Raises DataError naming the file unless the index's dtype is known, the
+    header lists as many rows as the index has ids and the payload fills
+    them exactly. The rows are a writable view of the bytes read, not a copy.
+    """
+    try:
+        index = json.loads(Path(index_path).read_text(encoding="utf-8"))
+        code, n_ids = dg.codec_dtype(index["dtype"]), len(index["ids"])
+        raw = np.fromfile(bin_path, dtype=np.uint8)
+    except (DataError, OSError, KeyError, TypeError, ValueError) as e:
+        raise DataError(f"cannot load cache {bin_path} with index {index_path}: {e}") from e
+    if raw.size < _HEADER.size:
+        raise DataError(f"cache {bin_path} is shorter than its {_HEADER.size}-byte header")
+    a, b, n = _HEADER.unpack_from(raw)
+    if n != n_ids:
+        raise DataError(f"cache {bin_path} holds {n} rows, its index lists {n_ids} ids")
+    width = row_width(a, b)
+    if min(a, b) < 0 or raw.size - _HEADER.size != n * width * code.itemsize:
+        raise DataError(f"cache {bin_path}: {raw.size - _HEADER.size} payload bytes "
+                        f"do not fill header ({a}, {b}, {n})")
+    return index, a, b, raw[_HEADER.size:].view(code).reshape(n, width)
 
 
 @dataclass
@@ -40,7 +77,7 @@ class UserCache:
     def lookup(self, user_id: int) -> np.ndarray:
         i = self._index.get(user_id)
         if i is None:
-            raise KeyError(f"user {user_id} not cached")
+            raise DataError(f"user {user_id} not cached")
         return self.vectors[i]
 
     @property
@@ -49,24 +86,12 @@ class UserCache:
 
     def save(self, bin_path, index_path) -> None:
         n, k, d = self.vectors.shape
-        dtype = "f32" if self.vectors.dtype == np.float32 else "f64"
-        code = "<f4" if dtype == "f32" else "<f8"
-        with open(bin_path, "wb") as fh:
-            fh.write(_HEADER.pack(k, d, n))
-            fh.write(np.ascontiguousarray(self.vectors, dtype=code).tobytes())
-        Path(index_path).write_text(
-            json.dumps({"ids": self.user_ids, "dtype": dtype},
-                       separators=(",", ":")) + "\n", encoding="utf-8")
+        _write_cache(bin_path, index_path, (k, d, n), self.vectors, {"ids": self.user_ids})
 
     @classmethod
     def load(cls, bin_path, index_path) -> "UserCache":
-        index = json.loads(Path(index_path).read_text(encoding="utf-8"))
-        code = "<f4" if index["dtype"] == "f32" else "<f8"
-        raw = Path(bin_path).read_bytes()
-        k, d, n = _HEADER.unpack_from(raw)
-        vectors = np.frombuffer(raw, dtype=code, offset=_HEADER.size)
-        return cls(user_ids=list(index["ids"]),
-                   vectors=vectors.reshape(n, k, d).copy())
+        index, k, d, rows = _read_cache(bin_path, index_path, lambda k, d: k * d)
+        return cls(user_ids=index["ids"], vectors=rows.reshape(-1, k, d))
 
 
 @dataclass
@@ -86,34 +111,29 @@ class TaskTagCache:
     def row(self, tag_id: int) -> int:
         i = self._index.get(tag_id)
         if i is None:
-            raise KeyError(f"tag {tag_id} not cached for task {self.task.value}")
+            raise DataError(f"tag {tag_id} not cached for task {self.task.value}")
         return i
 
     def save(self, bin_path, index_path) -> None:
         n, d = self.embeddings.shape
-        dtype = "f32" if self.embeddings.dtype == np.float32 else "f64"
-        code = "<f4" if dtype == "f32" else "<f8"
         payload = np.concatenate(
             [self.embeddings, self.gate_weights.astype(self.embeddings.dtype)], axis=1)
-        with open(bin_path, "wb") as fh:
-            fh.write(_HEADER.pack(len(self.expert_ids), d, n))
-            fh.write(np.ascontiguousarray(payload, dtype=code).tobytes())
-        doc = {"task": self.task.value, "ids": self.tag_ids,
-               "experts": list(self.expert_ids), "tau": self.tau, "dtype": dtype}
-        Path(index_path).write_text(json.dumps(doc, separators=(",", ":")) + "\n",
-                                    encoding="utf-8")
+        _write_cache(bin_path, index_path, (len(self.expert_ids), d, n), payload,
+                     {"task": self.task.value, "ids": self.tag_ids,
+                      "experts": list(self.expert_ids), "tau": self.tau})
 
     @classmethod
     def load(cls, bin_path, index_path) -> "TaskTagCache":
-        doc = json.loads(Path(index_path).read_text(encoding="utf-8"))
-        code = "<f4" if doc["dtype"] == "f32" else "<f8"
-        raw = Path(bin_path).read_bytes()
-        n_w, d, n = _HEADER.unpack_from(raw)
-        payload = np.frombuffer(raw, dtype=code, offset=_HEADER.size).reshape(n, d + n_w)
-        return cls(task=Task(doc["task"]), tag_ids=list(doc["ids"]),
-                   embeddings=payload[:, :d].copy(),
-                   gate_weights=payload[:, d:].copy(),
-                   expert_ids=tuple(doc["experts"]), tau=float(doc["tau"]))
+        doc, n_w, d, rows = _read_cache(bin_path, index_path, lambda n_w, d: d + n_w)
+        try:
+            task, experts, tau = Task(doc["task"]), tuple(doc["experts"]), float(doc["tau"])
+        except (KeyError, TypeError, ValueError) as e:
+            raise DataError(f"cache index {index_path}: {e}") from e
+        if n_w != len(experts):
+            raise DataError(f"cache {bin_path} holds {n_w} gate weights per tag, "
+                            f"its index lists {len(experts)} experts")
+        return cls(task=task, tag_ids=doc["ids"], embeddings=rows[:, :d].copy(),
+                   gate_weights=rows[:, d:].copy(), expert_ids=experts, tau=tau)
 
 
 @dataclass
@@ -180,11 +200,6 @@ def build_caches(model: MvkeModel, users: Sequence[tuple[int, tuple]],
     return user_cache, TagCache(per_task)
 
 
-def _sigmoid(x):
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
 def _mix_and_score(user_vectors: np.ndarray, tag_cache: TaskTagCache,
                    row: int) -> np.ndarray:
     """Scores of one cached tag against users, [n_users]."""
@@ -196,7 +211,7 @@ def _mix_and_score(user_vectors: np.ndarray, tag_cache: TaskTagCache,
     dot = mixed @ tag_vec
     norms = (np.linalg.norm(mixed, axis=1) * np.linalg.norm(tag_vec))
     cos = np.clip(dot / np.maximum(norms, 1e-12), -1.0, 1.0)
-    return _sigmoid(tag_cache.tau * cos)
+    return dg._sigmoid_values(tag_cache.tau * cos)
 
 
 def score_from_cache(user_id: int, tag_id: int, task: Task,
@@ -236,8 +251,9 @@ def naive_scores(model: MvkeModel, users: Sequence[tuple[int, tuple]],
     out = np.empty((len(users), len(tags)))
     for i, (user_id, fields) in enumerate(users):
         for j, tag in enumerate(tags):
-            ex = Example(user_id, fields, (int(tag),), 0, 0)
-            out[i, j] = model.pair_score(ex, task)
+            one = encode_examples([Example(user_id, fields, (int(tag),), 0, 0)],
+                                  model.cfg.schema)
+            out[i, j] = model.predict(one, task)[0]
     return out
 
 

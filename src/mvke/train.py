@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -39,15 +38,6 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 0")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "epochs", "batch_size", "learning_rate", "beta1", "beta2", "eps",
-            "seed", "mode")}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**d)
 
 
 def mode_tasks(mode: str) -> tuple[Task, ...]:
@@ -184,8 +174,3 @@ def fit(model, train_ds: Sequence, valid_ds: Sequence,
             best_params = snapshot_params(model.params)
     model.params = best_params
     return best_params, history
-
-
-def history_rows_for_csv(history: list[dict]) -> list[dict]:
-    return [{"epoch": h["epoch"], "train_loss": h["train_loss"],
-             "ctr_auc": h["ctr_auc"], "cvr_auc": h["cvr_auc"]} for h in history]

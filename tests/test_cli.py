@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -131,6 +132,44 @@ def test_eval_writes_report_and_is_stable(pipeline, tmp_path):
     for r in rows:
         assert 0.0 <= float(r["auc"]) <= 1.0
     assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
+
+
+def _broken_checkpoint(train_dir, tmp_path, break_it):
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(train_dir / "checkpoint", ckpt)
+    break_it(ckpt)
+    return ckpt
+
+
+def _drop_kind(ckpt):
+    meta = json.loads((ckpt / "model.json").read_text())
+    del meta["kind"]
+    (ckpt / "model.json").write_text(json.dumps(meta))
+
+
+def _drop_last_param(ckpt):
+    lines = (ckpt / "params.jsonl").read_text().splitlines(keepends=True)
+    (ckpt / "params.jsonl").write_text("".join(lines[:-1]))
+
+
+def _reshape_first_param(ckpt):
+    lines = (ckpt / "params.jsonl").read_text().splitlines(keepends=True)
+    record = json.loads(lines[0])
+    record["shape"] = record["shape"][::-1] + [1]
+    (ckpt / "params.jsonl").write_text(json.dumps(record) + "\n" + "".join(lines[1:]))
+
+
+@pytest.mark.parametrize("break_it, names", [(_drop_kind, "model.json"),
+                                             (_drop_last_param, "params.jsonl"),
+                                             (_reshape_first_param, "params.jsonl")])
+def test_eval_on_broken_checkpoint_is_data_error(pipeline, tmp_path, capsys,
+                                                 break_it, names):
+    _, cfg, data_dir, train_dir = pipeline
+    ckpt = _broken_checkpoint(train_dir, tmp_path, break_it)
+    code = main(["eval", "--config", cfg, "--data", str(data_dir),
+                 "--ckpt", str(ckpt), "--out", str(tmp_path / "e")])
+    assert code == 2
+    assert names in capsys.readouterr().err
 
 
 def test_export_attention_rows_sum_to_one(pipeline, tmp_path):

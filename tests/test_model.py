@@ -22,6 +22,16 @@ def make_params(small_cfg, seed=0):
     return M.init_mvke_params(small_cfg, seed=seed)
 
 
+def one_example(schema, field_values=(1, 2, 3), tags=(1,)):
+    """A batch of one."""
+    return M.encode_examples([FakeExample(field_values, tags)], schema)
+
+
+def tag_batch(schema, tags):
+    batch = one_example(schema, tags=tags)
+    return batch.tag_idx, batch.tag_weight
+
+
 # ---------------------------------------------------------------------------
 # schema / routing validation
 
@@ -73,22 +83,23 @@ def test_model_config_json_round_trip(small_cfg):
 
 def test_embed_single_field_is_table_row(small_cfg):
     params = make_params(small_cfg)
-    out = M.embed_user_fields((1, 2, 3), params, small_cfg.schema)
-    np.testing.assert_array_equal(out.data[0], params["user_embed.color"].data[1])
-    np.testing.assert_array_equal(out.data[1], params["user_embed.size"].data[2])
+    out = M.embed_user_fields(one_example(small_cfg.schema), params, small_cfg.schema)
+    assert out.shape == (1, 3, 8)
+    np.testing.assert_array_equal(out.data[0, 0], params["user_embed.color"].data[1])
+    np.testing.assert_array_equal(out.data[0, 1], params["user_embed.size"].data[2])
 
 
 def test_embed_multivalued_field_mean_pools(small_cfg):
     params = make_params(small_cfg)
-    out = M.embed_user_fields(((0, 2), 1, 3), params, small_cfg.schema)
+    batch = one_example(small_cfg.schema, ((0, 2), 1, 3))
+    out = M.embed_user_fields(batch, params, small_cfg.schema)
     table = params["user_embed.color"].data
-    np.testing.assert_allclose(out.data[0], (table[0] + table[2]) / 2, atol=1e-15)
+    np.testing.assert_allclose(out.data[0, 0], (table[0] + table[2]) / 2, atol=1e-15)
 
 
 def test_embed_out_of_vocab_names_field(small_cfg):
-    params = make_params(small_cfg)
     with pytest.raises(DataError, match="size"):
-        M.embed_user_fields((1, 99, 3), params, small_cfg.schema)
+        one_example(small_cfg.schema, (1, 99, 3))
 
 
 def test_embedding_gradient_touches_only_looked_up_rows(small_cfg):
@@ -122,33 +133,34 @@ def test_embedding_gradient_touches_only_looked_up_rows(small_cfg):
 
 def test_tag_tower_singleton(small_cfg):
     params = make_params(small_cfg)
-    out = M.tag_tower([3], Task.CTR, params)
+    out = M.tag_tower(*tag_batch(small_cfg.schema, (3,)), Task.CTR, params)
     expected = np_tanh_affine(params["tag_tower.ctr.embed"].data[3],
                               params["tag_tower.ctr.proj.w"].data,
                               params["tag_tower.ctr.proj.b"].data)
-    np.testing.assert_allclose(out.data, expected, atol=1e-12)
+    assert out.shape == (1, 8)
+    np.testing.assert_allclose(out.data[0], expected, atol=1e-12)
 
 
 def test_tag_tower_duplicates_collapse(small_cfg):
     params = make_params(small_cfg)
-    np.testing.assert_array_equal(M.tag_tower([3, 3], Task.CTR, params).data,
-                                  M.tag_tower([3], Task.CTR, params).data)
+    np.testing.assert_array_equal(
+        M.tag_tower(*tag_batch(small_cfg.schema, (3, 3)), Task.CTR, params).data,
+        M.tag_tower(*tag_batch(small_cfg.schema, (3,)), Task.CTR, params).data)
 
 
 def test_tag_tower_pair_matches_oracle(small_cfg):
     params = make_params(small_cfg)
-    out = M.tag_tower([2, 5], Task.CVR, params)
+    out = M.tag_tower(*tag_batch(small_cfg.schema, (2, 5)), Task.CVR, params)
     table = params["tag_tower.cvr.embed"].data
     expected = np_tanh_affine((table[2] + table[5]) / 2,
                               params["tag_tower.cvr.proj.w"].data,
                               params["tag_tower.cvr.proj.b"].data)
-    np.testing.assert_allclose(out.data, expected, atol=1e-12)
+    np.testing.assert_allclose(out.data[0], expected, atol=1e-12)
 
 
 def test_tag_tower_empty_set_is_data_error(small_cfg):
-    params = make_params(small_cfg)
     with pytest.raises(DataError):
-        M.tag_tower([], Task.CTR, params)
+        tag_batch(small_cfg.schema, ())
 
 
 # ---------------------------------------------------------------------------
@@ -156,9 +168,9 @@ def test_tag_tower_empty_set_is_data_error(small_cfg):
 
 def test_vke_single_field_context_is_value_row(small_cfg):
     params = make_params(small_cfg)
-    fe = dg.Tensor(np.random.default_rng(0).normal(size=(1, 8)))
+    fe = dg.Tensor(np.random.default_rng(0).normal(size=(1, 1, 8)))
     ctx, w = M.vke_attention(fe, 0, params)
-    expected_v = np_tanh_affine(fe.data, params["expert.0.v_proj.w"].data,
+    expected_v = np_tanh_affine(fe.data[0], params["expert.0.v_proj.w"].data,
                                 params["expert.0.v_proj.b"].data)
     np.testing.assert_allclose(ctx.data, expected_v, atol=1e-12)
     np.testing.assert_allclose(w.data, [[1.0]], atol=1e-15)
@@ -171,7 +183,7 @@ def test_identical_experts_produce_identical_outputs(small_cfg):
                  "head.w1", "head.b1", "head.w2", "head.b2"):
         params[f"expert.1.{proj}"].data[...] = params[f"expert.0.{proj}"].data
     params["virtual_kernels"].data[1] = params["virtual_kernels"].data[0]
-    fe = dg.Tensor(np.random.default_rng(1).normal(size=(3, 8)))
+    fe = dg.Tensor(np.random.default_rng(1).normal(size=(1, 3, 8)))
     np.testing.assert_array_equal(M.vke_forward(fe, 0, params).data,
                                   M.vke_forward(fe, 1, params).data)
 
@@ -180,7 +192,7 @@ def test_vke_matches_step_by_step_oracle(small_cfg):
     params = make_params(small_cfg)
     rng = np.random.default_rng(2)
     fe = rng.normal(size=(3, 8))
-    got = M.vke_forward(dg.Tensor(fe), 2, params).data
+    got = M.vke_forward(dg.Tensor(fe[None]), 2, params).data[0]
 
     # plain-loop oracle: per-input transforms, explicit softmax, MLP head
     p = {k: v.data for k, v in params.items()}
@@ -206,8 +218,8 @@ def test_vke_batch_matches_single(small_cfg):
     fe = rng.normal(size=(4, 3, 8))
     batched = M.vke_forward(dg.Tensor(fe), 1, params).data
     for b in range(4):
-        single = M.vke_forward(dg.Tensor(fe[b]), 1, params).data
-        np.testing.assert_allclose(batched[b], single, atol=1e-12)
+        single = M.vke_forward(dg.Tensor(fe[b:b + 1]), 1, params).data
+        np.testing.assert_allclose(batched[b], single[0], atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -219,22 +231,22 @@ def test_vkg_singleton_task_set(small_cfg):
     cfg = M.ModelConfig(schema=schema, routing=routing)
     params = M.init_mvke_params(cfg, seed=0)
     rng = np.random.default_rng(4)
-    outs = dg.Tensor(rng.normal(size=(1, 8)))
-    tag = dg.Tensor(rng.normal(size=8))
+    outs = dg.Tensor(rng.normal(size=(1, 1, 8)))
+    tag = dg.Tensor(rng.normal(size=(1, 8)))
     mixed, w = M.vkg_combine(outs, tag, Task.CTR, params, routing)
-    np.testing.assert_allclose(mixed.data, outs.data[0], atol=1e-15)
-    np.testing.assert_allclose(w.data, [1.0], atol=1e-15)
+    np.testing.assert_allclose(mixed.data, outs.data[:, 0], atol=1e-15)
+    np.testing.assert_allclose(w.data, [[1.0]], atol=1e-15)
 
 
 def test_vkg_equal_kernels_give_uniform_weights(small_cfg):
     params = make_params(small_cfg)
     params["virtual_kernels"].data[...] = params["virtual_kernels"].data[0]
     rng = np.random.default_rng(5)
-    outs = dg.Tensor(rng.normal(size=(3, 8)))
-    tag = dg.Tensor(rng.normal(size=8))
+    outs = dg.Tensor(rng.normal(size=(1, 3, 8)))
+    tag = dg.Tensor(rng.normal(size=(1, 8)))
     mixed, w = M.vkg_combine(outs, tag, Task.CTR, params, small_cfg.routing)
-    np.testing.assert_allclose(w.data, np.full(3, 1 / 3), atol=1e-12)
-    np.testing.assert_allclose(mixed.data, outs.data.mean(axis=0), atol=1e-12)
+    np.testing.assert_allclose(w.data, np.full((1, 3), 1 / 3), atol=1e-12)
+    np.testing.assert_allclose(mixed.data, outs.data.mean(axis=1), atol=1e-12)
 
 
 def test_vkg_matches_attention_oracle(small_cfg):
@@ -242,7 +254,7 @@ def test_vkg_matches_attention_oracle(small_cfg):
     rng = np.random.default_rng(6)
     outs = rng.normal(size=(3, 8))
     tag = rng.normal(size=8)
-    mixed, w = M.vkg_combine(dg.Tensor(outs), dg.Tensor(tag), Task.CTR,
+    mixed, w = M.vkg_combine(dg.Tensor(outs[None]), dg.Tensor(tag[None]), Task.CTR,
                              params, small_cfg.routing)
 
     p = {k: v.data for k, v in params.items()}
@@ -253,8 +265,8 @@ def test_vkg_matches_attention_oracle(small_cfg):
         logits.append(float(q @ key) / math.sqrt(8.0))
     es = [math.exp(z - max(logits)) for z in logits]
     ws = np.array([e / sum(es) for e in es])
-    np.testing.assert_allclose(w.data, ws, atol=1e-12)
-    np.testing.assert_allclose(mixed.data, ws @ outs, atol=1e-12)
+    np.testing.assert_allclose(w.data[0], ws, atol=1e-12)
+    np.testing.assert_allclose(mixed.data[0], ws @ outs, atol=1e-12)
 
 
 def test_vkg_gate_weights_are_probabilities(small_cfg):
@@ -272,24 +284,24 @@ def test_vkg_gate_weights_are_probabilities(small_cfg):
 
 def test_score_identical_embeddings(small_cfg):
     params = make_params(small_cfg)  # tau initialized to 5.0
-    v = dg.Tensor(np.array([0.3, -1.0, 0.2, 0.9, 0.1, -0.4, 0.8, 0.5]))
+    v = dg.Tensor(np.array([[0.3, -1.0, 0.2, 0.9, 0.1, -0.4, 0.8, 0.5]]))
     p = M.score_pair(v, v, Task.CTR, params)
-    assert p.item() == pytest.approx(0.9933071490757152, abs=1e-9)
+    assert p.data[0] == pytest.approx(0.9933071490757152, abs=1e-9)
 
 
 def test_score_orthogonal_embeddings(small_cfg):
     params = make_params(small_cfg)
-    a = dg.Tensor(np.array([1.0] + [0.0] * 7))
-    b = dg.Tensor(np.array([0.0, 1.0] + [0.0] * 6))
-    assert M.score_pair(a, b, Task.CTR, params).item() == pytest.approx(0.5, abs=1e-12)
+    a = dg.Tensor(np.array([[1.0] + [0.0] * 7]))
+    b = dg.Tensor(np.array([[0.0, 1.0] + [0.0] * 6]))
+    assert M.score_pair(a, b, Task.CTR, params).data[0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_score_tau_one_opposite_embeddings(small_cfg):
     params = make_params(small_cfg)
     params["temperature.ctr"].data[...] = 1.0
-    a = dg.Tensor(np.array([1.0] + [0.0] * 7))
-    b = dg.Tensor(np.array([-1.0] + [0.0] * 7))
-    assert M.score_pair(a, b, Task.CTR, params).item() == pytest.approx(
+    a = dg.Tensor(np.array([[1.0] + [0.0] * 7]))
+    b = dg.Tensor(np.array([[-1.0] + [0.0] * 7]))
+    assert M.score_pair(a, b, Task.CTR, params).data[0] == pytest.approx(
         0.2689414213699951, abs=1e-12)
 
 
@@ -383,9 +395,9 @@ def test_single_expert_loss_gradient_check(small_cfg, small_batch_examples):
     batch = M.encode_examples(small_batch_examples, small_cfg.schema)
 
     def loss():
-        fe = M.embed_user_fields_batch(batch, params, small_cfg.schema)
+        fe = M.embed_user_fields(batch, params, small_cfg.schema)
         out = M.vke_forward(fe, 0, params)
-        tag = M.tag_tower_batch(batch.tag_idx, batch.tag_weight, Task.CTR, params)
+        tag = M.tag_tower(batch.tag_idx, batch.tag_weight, Task.CTR, params)
         p = M.score_pair(out, tag, Task.CTR, params)
         return dg.bce_loss(p, batch.clicks)
 

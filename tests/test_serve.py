@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,7 @@ import mvke.data as D
 import mvke.diffgraph as dg
 import mvke.model as M
 import mvke.serve as S
-from mvke.errors import ConfigError
+from mvke.errors import ConfigError, DataError
 from mvke.model import Task
 
 
@@ -48,9 +51,10 @@ def test_cached_vectors_match_direct_expert_outputs(served):
     user_cache, _ = caches
     user_id, fields = users[7]
     with dg.precision("f32"):
-        fe = M.embed_user_fields(fields, model.params, model.cfg.schema)
+        one = M.encode_examples([D.Example(user_id, fields, (0,), 0, 0)], model.cfg.schema)
+        fe = M.embed_user_fields(one, model.params, model.cfg.schema)
         for e in range(model.cfg.routing.n_experts):
-            direct = M.vke_forward(fe, e, model.params).data
+            direct = M.vke_forward(fe, e, model.params).data[0]
             np.testing.assert_allclose(user_cache.lookup(user_id)[e], direct,
                                        atol=1e-6)
 
@@ -64,7 +68,9 @@ def test_cached_scores_match_full_forward(served):
             tag = int(rng.integers(len(tags)))
             task = Task.CTR if rng.random() < 0.5 else Task.CVR
             cached = S.score_from_cache(user_id, tag, task, caches)
-            full = model.pair_score(D.Example(user_id, fields, (tag,), 0, 0), task)
+            one = M.encode_examples([D.Example(user_id, fields, (tag,), 0, 0)],
+                                    model.cfg.schema)
+            full = model.predict(one, task)[0]
             assert cached == pytest.approx(full, abs=1e-6)
 
 
@@ -96,9 +102,9 @@ def test_single_expert_task_reduces_to_cosine():
 
 def test_missing_ids_raise_lookup_error(served):
     _, _, _, caches = served
-    with pytest.raises(KeyError):
+    with pytest.raises(DataError):
         S.score_from_cache(10**9, 0, Task.CTR, caches)
-    with pytest.raises(KeyError):
+    with pytest.raises(DataError):
         S.score_from_cache(caches[0].user_ids[0], 10**9, Task.CTR, caches)
 
 
@@ -232,3 +238,52 @@ def test_bench_rejects_oversized_request(served):
     model, users, tags, _ = served
     with pytest.raises(ConfigError):
         S.bench(model, users, tags, sizes=[(10**6, 5)])
+
+
+@pytest.fixture
+def saved(tmp_path, served):
+    _, _, _, caches = served
+    S.save_caches(caches, tmp_path)
+    return tmp_path
+
+
+def _rewrite_index(path, **changes):
+    doc = json.loads(path.read_text())
+    path.write_text(json.dumps({**doc, **changes}))
+
+
+def test_cache_bad_dtype_is_data_error(saved):
+    _rewrite_index(saved / "user_cache.json", dtype="f16")
+    with pytest.raises(DataError, match="user_cache.bin"):
+        S.load_caches(saved)
+
+
+def test_cache_index_with_fewer_ids_than_rows_is_data_error(saved):
+    doc = json.loads((saved / "user_cache.json").read_text())
+    _rewrite_index(saved / "user_cache.json", ids=doc["ids"][:-1])
+    with pytest.raises(DataError, match="user_cache.bin"):
+        S.load_caches(saved)
+
+
+def test_cache_payload_not_filling_header_is_data_error(saved):
+    path = saved / "tag_cache_ctr.bin"
+    path.write_bytes(path.read_bytes()[:-4])
+    with pytest.raises(DataError, match="tag_cache_ctr.bin"):
+        S.load_caches(saved)
+
+
+def test_tag_cache_expert_count_must_match_index(saved):
+    # one gate weight fewer and one embedding value more per row: the payload still fits
+    path = saved / "tag_cache_cvr.bin"
+    raw = path.read_bytes()
+    n_w, d, n = struct.unpack_from("<qqq", raw)
+    path.write_bytes(struct.pack("<qqq", n_w - 1, d + 1, n) + raw[24:])
+    with pytest.raises(DataError, match="tag_cache_cvr.bin"):
+        S.load_caches(saved)
+
+
+def test_cache_shorter_than_header_is_data_error(saved):
+    path = saved / "user_cache.bin"
+    path.write_bytes(path.read_bytes()[:10])
+    with pytest.raises(DataError, match="user_cache.bin"):
+        S.load_caches(saved)
