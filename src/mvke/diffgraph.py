@@ -5,8 +5,9 @@ scaled dot-product attention, cosine scoring and BCE training, plus a
 finite-difference gradient checker and a line-JSON checkpoint format.
 
 Model parameters are plain ``dict[str, Tensor]`` maps; the name is a
-dot-separated path (for example ``"expert.3.q_proj.w"``) so checkpoint
-I/O and per-module updates can route by prefix.
+dot-separated path (for example ``"experts.q_proj.w"``, which stacks the
+query projections of all experts along its first axis) so checkpoint I/O
+and per-module updates can route by prefix.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ class Tensor:
         return self.data.size
 
     def item(self) -> float:
-        return float(self.data)
+        return self.data.item()
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -198,28 +199,33 @@ def neg(a) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product over the last two axes; leading axes broadcast as in numpy.
+
+    ``[n, p] @ [k, p, q] -> [k, n, q]`` applies one matrix per leading index
+    of ``b`` to the same ``a``; gradients sum back over broadcast axes.
+    """
     a, b = as_tensor(a), as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ConfigError(f"matmul expects 2-d tensors, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ConfigError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
     out = a.data @ b.data
 
     def grad_fn(g):
-        return g @ b.data.T, a.data.T @ g
+        return (_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape),
+                _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
     return _node(out, "matmul", (a, b), grad_fn)
 
 
 def transpose(a: Tensor) -> Tensor:
+    """Swap the last two axes."""
     a = as_tensor(a)
-    if a.ndim != 2:
-        raise ConfigError(f"transpose expects a 2-d tensor, got {a.shape}")
+    if a.ndim < 2:
+        raise ConfigError(f"transpose expects at least 2 axes, got {a.shape}")
 
     def grad_fn(g):
-        return (g.T,)
+        return (np.swapaxes(g, -1, -2),)
 
-    return _node(a.data.T, "transpose", (a,), grad_fn)
+    return _node(np.swapaxes(a.data, -1, -2), "transpose", (a,), grad_fn)
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
@@ -351,14 +357,15 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 
 def gather_rows(table: Tensor, indices) -> Tensor:
-    """Row lookup ``table[indices]`` with scatter-add gradients.
+    """Lookup ``table[indices]`` along axis 0 with scatter-add gradients.
 
-    ``indices`` may have any shape; the result has shape
-    ``indices.shape + (row_dim,)``.
+    ``table`` has at least two axes and ``indices`` any shape; the result
+    has shape ``indices.shape + table.shape[1:]``. Repeated indices add
+    their gradients.
     """
     table = as_tensor(table)
-    if table.ndim != 2:
-        raise ConfigError(f"gather_rows expects a 2-d table, got {table.shape}")
+    if table.ndim < 2:
+        raise ConfigError(f"gather_rows expects a table of rank >= 2, got {table.shape}")
     idx = np.asarray(indices)
     if not np.issubdtype(idx.dtype, np.integer):
         raise DataError("gather_rows indices must be integers")
@@ -369,7 +376,7 @@ def gather_rows(table: Tensor, indices) -> Tensor:
 
     def grad_fn(g):
         dt = np.zeros_like(table.data)
-        np.add.at(dt, idx.reshape(-1), g.reshape(-1, table.data.shape[1]))
+        np.add.at(dt, idx.reshape(-1), g.reshape(-1, *table.data.shape[1:]))
         return (dt,)
 
     return _node(out, "gather_rows", (table,), grad_fn)

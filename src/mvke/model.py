@@ -4,7 +4,8 @@ Two models share the same tag tower and scoring head:
 
 * the virtual-kernel mixture model: per-expert attention over user field
   embeddings, queried by a learnable kernel vector, combined per task by
-  a tag-conditioned gate;
+  a tag-conditioned gate. All experts share one shape, so each expert
+  layer is one parameter stacked along a leading expert axis;
 * a plain two-tower baseline: mean field embedding through a small MLP.
 
 All forward functions are pure in the parameters and take batches only:
@@ -203,7 +204,7 @@ class EncodedBatch:
 
 
 def _pad_ids(values: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
-    width = max(len(v) for v in values)
+    width = max((len(v) for v in values), default=0)
     idx = np.zeros((len(values), width), dtype=np.int64)
     weight = np.zeros((len(values), width), dtype=np.float64)
     for r, ids in enumerate(values):
@@ -301,14 +302,14 @@ def init_mvke_params(cfg: ModelConfig, seed: int) -> dict[str, Tensor]:
     for fname, vocab in schema.user_fields:
         _param(params, f"user_embed.{fname}", _embed_table(rng, vocab, d))
     _param(params, "virtual_kernels", _distinct_unit_kernels(rng, routing.n_experts, d))
-    for i in range(routing.n_experts):
-        for proj in ("q_proj", "k_proj", "v_proj"):
-            _param(params, f"expert.{i}.{proj}.w", _xavier(rng, d, d))
-            _param(params, f"expert.{i}.{proj}.b", np.zeros(d))
-        _param(params, f"expert.{i}.head.w1", _xavier(rng, d, h))
-        _param(params, f"expert.{i}.head.b1", np.zeros(h))
-        _param(params, f"expert.{i}.head.w2", _xavier(rng, h, d))
-        _param(params, f"expert.{i}.head.b2", np.zeros(d))
+    # drawn expert by expert, layer by layer, then stacked: w [k, in, out], b [k, 1, out]
+    shapes = {"q_proj": (d, d), "k_proj": (d, d), "v_proj": (d, d),
+              "head1": (d, h), "head2": (h, d)}
+    draws = [[_xavier(rng, *shape) for shape in shapes.values()]
+             for _ in range(routing.n_experts)]
+    for j, (layer, (_, fan_out)) in enumerate(shapes.items()):
+        _param(params, f"experts.{layer}.w", np.stack([row[j] for row in draws]))
+        _param(params, f"experts.{layer}.b", np.zeros((routing.n_experts, 1, fan_out)))
     for task in TASKS:
         _init_tag_tower(params, rng, schema, task)
         _param(params, f"gate.{task.value}.q_proj.w", _xavier(rng, d, d))
@@ -373,42 +374,42 @@ def tag_tower(tag_idx: np.ndarray, tag_weight: np.ndarray, task: Task,
     return dg.tanh(_affine(pooled, params, f"{prefix}.proj"))
 
 
-def _expert_query(expert_index: int, params: dict[str, Tensor]) -> Tensor:
-    """Attention query [1, d] from this expert's virtual kernel."""
-    kernel = dg.gather_rows(params["virtual_kernels"], np.array([expert_index]))
-    return dg.tanh(_affine(kernel, params, f"expert.{expert_index}.q_proj"))
+def _expert_rows(params: dict[str, Tensor], experts: Sequence[int],
+                 layers: Sequence[str]) -> dict[str, Tensor]:
+    """The ``experts`` rows of the stacked ``experts.<layer>.{w,b}`` parameters."""
+    return {f"experts.{layer}.{part}": dg.gather_rows(params[f"experts.{layer}.{part}"], experts)
+            for layer in layers for part in ("w", "b")}
 
 
-def _expert_head(x: Tensor, expert_index: int, params: dict[str, Tensor]) -> Tensor:
-    prefix = f"expert.{expert_index}.head"
-    hidden = dg.relu(dg.add(dg.matmul(x, params[f"{prefix}.w1"]), params[f"{prefix}.b1"]))
-    return dg.add(dg.matmul(hidden, params[f"{prefix}.w2"]), params[f"{prefix}.b2"])
-
-
-def vke_attention(field_embeddings: Tensor, expert_index: int,
+def vke_attention(field_embeddings: Tensor, experts: Sequence[int],
                   params: dict[str, Tensor]) -> tuple[Tensor, Tensor]:
-    """Kernel-queried attention over field embeddings [B, m, d].
+    """Kernel-queried attention of the given experts over field embeddings [B, m, d].
 
-    Returns (context [B, d], weights [B, m]).
+    Returns (context [n, B, d], weights [n, B, m]), expert-major in the
+    order of ``experts``.
     """
     b, m, d = field_embeddings.shape
+    n = len(experts)
+    p = _expert_rows(params, experts, ("q_proj", "k_proj", "v_proj"))
+    kernels = dg.reshape(dg.gather_rows(params["virtual_kernels"], experts), (n, 1, d))
+    q = dg.tanh(_affine(kernels, p, "experts.q_proj"))
     flat = dg.reshape(field_embeddings, (b * m, d))
-    q = _expert_query(expert_index, params)
-    keys = dg.tanh(_affine(flat, params, f"expert.{expert_index}.k_proj"))
-    values = dg.tanh(_affine(flat, params, f"expert.{expert_index}.v_proj"))
-    logits = dg.mul(dg.reshape(dg.matmul(keys, dg.transpose(q)), (b, m)),
+    keys = dg.tanh(_affine(flat, p, "experts.k_proj"))
+    values = dg.tanh(_affine(flat, p, "experts.v_proj"))
+    logits = dg.mul(dg.reshape(dg.matmul(keys, dg.transpose(q)), (n, b, m)),
                     1.0 / math.sqrt(d))
     weights = dg.softmax(logits, axis=-1)
-    ctx = dg.reduce_sum(dg.mul(dg.reshape(values, (b, m, d)),
-                               dg.reshape(weights, (b, m, 1))), axis=1)
+    ctx = dg.reduce_sum(dg.mul(dg.reshape(values, (n, b, m, d)),
+                               dg.reshape(weights, (n, b, m, 1))), axis=2)
     return ctx, weights
 
 
-def vke_forward(field_embeddings: Tensor, expert_index: int,
+def vke_forward(field_embeddings: Tensor, experts: Sequence[int],
                 params: dict[str, Tensor]) -> Tensor:
-    """One expert's user embeddings [B, d]: attention context through its MLP head."""
-    ctx, _ = vke_attention(field_embeddings, expert_index, params)
-    return _expert_head(ctx, expert_index, params)
+    """User embeddings [n, B, d] of the given experts: attention context through each MLP head."""
+    ctx, _ = vke_attention(field_embeddings, experts, params)
+    p = _expert_rows(params, experts, ("head1", "head2"))
+    return _affine(dg.relu(_affine(ctx, p, "experts.head1")), p, "experts.head2")
 
 
 def gate_weights_for_tags(tag_embeddings: Tensor, task: Task,
@@ -433,17 +434,18 @@ def vkg_combine(vke_outputs: Tensor, tag_embeddings: Tensor, task: Task,
                 routing: ExpertRouting) -> tuple[Tensor, Tensor]:
     """Mix expert outputs with tag-conditioned attention weights.
 
-    ``vke_outputs`` [B, n, d] has its rows ordered by ascending expert index
-    within the task's routing set; with tag embeddings [B, d] the result is
-    (mixed [B, d], weights [B, n]). The expert outputs pass through as
-    values unchanged so cached mixing stays lossless.
+    ``vke_outputs`` [n, B, d] is expert-major, ordered by ascending expert
+    index within the task's routing set; with tag embeddings [B, d] the
+    result is (mixed [B, d], weights [B, n]). The expert outputs pass
+    through as values unchanged so cached mixing stays lossless.
     """
     weights = gate_weights_for_tags(tag_embeddings, task, params, routing)
     b, n = weights.shape
-    if vke_outputs.shape[:2] != (b, n):
-        raise ConfigError(f"expected {b} x {n} expert outputs for task {task.value}, "
+    if vke_outputs.shape[:2] != (n, b):
+        raise ConfigError(f"expected {n} x {b} expert outputs for task {task.value}, "
                           f"got {vke_outputs.shape}")
-    mixed = dg.reduce_sum(dg.mul(vke_outputs, dg.reshape(weights, (b, n, 1))), axis=1)
+    mixed = dg.reduce_sum(dg.mul(vke_outputs, dg.reshape(dg.transpose(weights), (n, b, 1))),
+                          axis=0)
     return mixed, weights
 
 
@@ -458,21 +460,19 @@ def mvke_forward(batch: EncodedBatch, cfg: ModelConfig, params: dict[str, Tensor
                  tasks: Sequence[Task] = TASKS) -> dict[Task, tuple[Tensor, Tensor]]:
     """Full mixture forward for a batch.
 
-    Expert outputs are computed once and shared across tasks. Returns
-    ``{task: (probabilities [B], gate_weights [B, n_task])}``.
+    Only the requested tasks' experts run, once, shared across tasks.
+    Returns ``{task: (probabilities [B], gate_weights [B, n_task])}``.
     """
     routing = cfg.routing
     fields = embed_user_fields(batch, params, cfg.schema)
     needed = sorted({e for task in tasks for e in routing.task_experts(task)})
-    expert_out = {e: vke_forward(fields, e, params) for e in needed}
+    expert_out = vke_forward(fields, needed, params)
     result: dict[Task, tuple[Tensor, Tensor]] = {}
     for task in tasks:
-        experts = routing.task_experts(task)
-        stacked = dg.concat(
-            [dg.reshape(expert_out[e], (batch.size, 1, cfg.schema.embed_dim))
-             for e in experts], axis=1)
+        rows = np.searchsorted(needed, routing.task_experts(task))
+        task_out = dg.gather_rows(expert_out, rows)
         tag_emb = tag_tower(batch.tag_idx, batch.tag_weight, task, params)
-        user_emb, gates = vkg_combine(stacked, tag_emb, task, params, routing)
+        user_emb, gates = vkg_combine(task_out, tag_emb, task, params, routing)
         result[task] = (score_pair(user_emb, tag_emb, task, params), gates)
     return result
 
@@ -533,9 +533,8 @@ class MvkeModel:
         self.counters["user_tower"] += batch.size
         with dg.no_grad():
             fields = embed_user_fields(batch, self.params, self.cfg.schema)
-            outs = [vke_forward(fields, e, self.params)
-                    for e in range(self.cfg.routing.n_experts)]
-            return np.stack([o.data for o in outs], axis=1)
+            outs = vke_forward(fields, range(self.cfg.routing.n_experts), self.params)
+        return outs.data.transpose(1, 0, 2)
 
     def tag_side(self, task: Task, tag_ids: Sequence[int]) -> tuple[np.ndarray, np.ndarray, float]:
         """Per-tag embeddings [T, d] and gate weights [T, n_task], plus tau."""

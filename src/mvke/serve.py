@@ -187,14 +187,7 @@ def build_caches(model: MvkeModel, users: Sequence[tuple[int, tuple]],
     per_task = {}
     for task in tasks:
         tag_ids = [int(t) for t in tags]
-        if tag_ids:
-            emb, gates, tau = model.tag_side(task, tag_ids)
-        else:
-            d = model.cfg.schema.embed_dim
-            n = len(model.cfg.routing.task_experts(task))
-            emb = np.zeros((0, d))
-            gates = np.zeros((0, n))
-            tau = float(model.params[f"temperature.{task.value}"].data)
+        emb, gates, tau = model.tag_side(task, tag_ids)
         per_task[task] = TaskTagCache(task, tag_ids, emb, gates,
                                       model.cfg.routing.task_experts(task), tau)
     return user_cache, TagCache(per_task)

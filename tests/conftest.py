@@ -1,20 +1,9 @@
-from dataclasses import dataclass, field
-
 import pytest
 
 import mvke.diffgraph as dg
 from mvke.model import FieldSchema, ModelConfig, five_expert_routing
 
-
-@dataclass
-class FakeExample:
-    """Minimal record for model-level tests that bypass the generator."""
-
-    field_values: tuple
-    tag_set: tuple
-    click_label: int = 0
-    conversion_label: int = 0
-    user_id: int = 0
+from fakes import FakeExample
 
 
 @pytest.fixture

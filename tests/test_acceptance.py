@@ -20,7 +20,7 @@ import mvke.train as T
 from mvke.cli import main
 from mvke.model import Task, TASKS
 
-from conftest import FakeExample
+from fakes import FakeExample
 
 
 SEEDS = (0, 1, 2)
@@ -238,8 +238,8 @@ def test_criterion_6_isolation_and_additivity():
 
         # isolation: perturbing an off-task expert leaves outputs bit-identical
         before = M.mvke_forward(batch, cfg, params)[Task.CTR][0].data.copy()
-        params["expert.4.q_proj.w"].data += 1.0  # expert 4 serves cvr only
-        params["expert.4.head.w2"].data -= 0.5
+        params["experts.q_proj.w"].data[4] += 1.0  # expert 4 serves cvr only
+        params["experts.head2.w"].data[4] -= 0.5
         after = M.mvke_forward(batch, cfg, params)[Task.CTR][0].data
         isolated = bool(np.array_equal(before, after))
 
@@ -250,10 +250,13 @@ def test_criterion_6_isolation_and_additivity():
         dg.zero_grads(params2)
         dg.backward(T.mtl_loss(batch, cfg, params2, "ctr-only"))
         opt.step(params2)
-        untouched = all(
-            np.array_equal(params2[n].data, frozen[n]) for n in frozen
-            if n.startswith(("expert.3.", "expert.4.", "tag_tower.cvr.",
-                             "gate.cvr.", "temperature.cvr")))
+        # expert slices 3 and 4 serve cvr only
+        expert_slices = [(params2[n].data[3:], frozen[n][3:]) for n in frozen
+                         if n.startswith("experts.")]
+        cvr_params = [(params2[n].data, frozen[n]) for n in frozen
+                      if n.startswith(("tag_tower.cvr.", "gate.cvr.", "temperature.cvr"))]
+        untouched = bool(expert_slices) and all(
+            np.array_equal(after, before) for after, before in expert_slices + cvr_params)
         moved = not np.array_equal(params2["tag_tower.ctr.proj.w"].data,
                                    frozen["tag_tower.ctr.proj.w"])
     ok = additive and isolated and untouched and moved

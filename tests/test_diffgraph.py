@@ -247,6 +247,7 @@ def test_grad_check_requires_f64():
 PRIMITIVE_CASES = [
     "matmul", "add_bias", "mul", "tanh", "relu", "sigmoid",
     "softmax", "gather", "mean_axis", "concat", "cosine", "bce", "attention",
+    "matmul_batched", "matmul_broadcast", "transpose_last_two", "gather_3d",
 ]
 
 
@@ -300,8 +301,48 @@ def test_grad_check_per_primitive(case):
         vv = t(rng.normal(size=(5, 3)), rg=True)
         f = lambda: dg.reduce_sum(dg.tanh(dg.scaled_dot_attention(q, k, vv)[0]))
         params = {"q": q, "k": k, "v": vv}
+    elif case == "matmul_batched":
+        x = t(rng.normal(size=(2, 3, 4)), rg=True)
+        y = t(rng.normal(size=(2, 4, 5)), rg=True)
+        f = lambda: dg.reduce_sum(dg.tanh(dg.matmul(x, y)))
+        params = {"x": x, "y": y}
+    elif case == "matmul_broadcast":
+        y = t(rng.normal(size=(2, 4, 5)), rg=True)
+        f = lambda: dg.reduce_sum(dg.tanh(dg.matmul(a, y)))
+        params = {"a": a, "y": y}
+    elif case == "transpose_last_two":
+        x = t(rng.normal(size=(2, 3, 4)), rg=True)
+        w = t(rng.normal(size=(2, 4, 3)))
+        f = lambda: dg.reduce_sum(dg.mul(dg.transpose(x), w))
+        params = {"x": x}
+    elif case == "gather_3d":
+        x = t(rng.normal(size=(3, 2, 4)), rg=True)
+        f = lambda: dg.reduce_sum(dg.tanh(dg.gather_rows(x, np.array([2, 0, 2]))))
+        params = {"x": x}
 
     assert dg.grad_check(f, params) <= 1e-5
+
+
+def test_batched_ops_match_per_slice_loops():
+    rng = np.random.default_rng(11)
+    x, y = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 4, 5))
+    np.testing.assert_array_equal(dg.matmul(t(x), t(y)).data,
+                                  np.stack([x[i] @ y[i] for i in range(2)]))
+    np.testing.assert_array_equal(dg.matmul(t(x[0]), t(y)).data,
+                                  np.stack([x[0] @ y[i] for i in range(2)]))
+    np.testing.assert_array_equal(dg.transpose(t(x)).data,
+                                  np.stack([x[i].T for i in range(2)]))
+    out = dg.gather_rows(t(x), np.array([[1, 0], [1, 1]]))
+    assert out.shape == (2, 2, 3, 4)
+    np.testing.assert_array_equal(out.data[1, 0], x[1])
+
+
+def test_item_of_one_element_tensors():
+    assert dg.Tensor(0.5).item() == 0.5
+    assert dg.Tensor([0.5]).item() == 0.5
+    assert dg.Tensor([[0.5]]).item() == 0.5
+    with pytest.raises(ValueError):
+        dg.Tensor([0.5, 1.0]).item()
 
 
 def test_relu_grad_zero_when_blocked():

@@ -158,6 +158,11 @@ def test_export_gate_weights_structure(tiny_gen):
         assert sum(weights) == pytest.approx(1.0, abs=1e-6)
 
 
+def test_export_gate_weights_of_no_tags_is_empty(tiny_gen):
+    _, _, _, mcfg = tiny_gen
+    assert E.export_gate_weights(M.MvkeModel(mcfg, seed=6), tag_ids=[]) == []
+
+
 def test_export_gate_weights_vary_across_tags(tiny_gen):
     _, _, _, mcfg = tiny_gen
     model = M.MvkeModel(mcfg, seed=6)

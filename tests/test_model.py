@@ -8,7 +8,7 @@ import mvke.model as M
 from mvke.errors import ConfigError, DataError
 from mvke.model import Task
 
-from conftest import FakeExample
+from fakes import FakeExample
 
 
 pytestmark = pytest.mark.usefixtures("f64")
@@ -20,6 +20,18 @@ def np_tanh_affine(x, w, b):
 
 def make_params(small_cfg, seed=0):
     return M.init_mvke_params(small_cfg, seed=seed)
+
+
+def expert_names(params):
+    """Names of the stacked expert parameters; never empty for a mixture model."""
+    names = [name for name in params if name.startswith("experts.")]
+    assert names
+    return names
+
+
+def expert_slice(params, layer, e):
+    """Expert ``e``'s (w [in, out], b [out]) of a stacked layer."""
+    return params[f"experts.{layer}.w"].data[e], params[f"experts.{layer}.b"].data[e, 0]
 
 
 def one_example(schema, field_values=(1, 2, 3), tags=(1,)):
@@ -169,46 +181,46 @@ def test_tag_tower_empty_set_is_data_error(small_cfg):
 def test_vke_single_field_context_is_value_row(small_cfg):
     params = make_params(small_cfg)
     fe = dg.Tensor(np.random.default_rng(0).normal(size=(1, 1, 8)))
-    ctx, w = M.vke_attention(fe, 0, params)
-    expected_v = np_tanh_affine(fe.data[0], params["expert.0.v_proj.w"].data,
-                                params["expert.0.v_proj.b"].data)
-    np.testing.assert_allclose(ctx.data, expected_v, atol=1e-12)
-    np.testing.assert_allclose(w.data, [[1.0]], atol=1e-15)
+    ctx, w = M.vke_attention(fe, [0], params)
+    expected_v = np_tanh_affine(fe.data[0], *expert_slice(params, "v_proj", 0))
+    np.testing.assert_allclose(ctx.data[0], expected_v, atol=1e-12)
+    np.testing.assert_allclose(w.data[0], [[1.0]], atol=1e-15)
 
 
 def test_identical_experts_produce_identical_outputs(small_cfg):
     params = make_params(small_cfg)
     # copy expert 0 weights and kernel onto expert 1
-    for proj in ("q_proj.w", "q_proj.b", "k_proj.w", "k_proj.b", "v_proj.w", "v_proj.b",
-                 "head.w1", "head.b1", "head.w2", "head.b2"):
-        params[f"expert.1.{proj}"].data[...] = params[f"expert.0.{proj}"].data
+    for name in expert_names(params):
+        params[name].data[1] = params[name].data[0]
     params["virtual_kernels"].data[1] = params["virtual_kernels"].data[0]
     fe = dg.Tensor(np.random.default_rng(1).normal(size=(1, 3, 8)))
-    np.testing.assert_array_equal(M.vke_forward(fe, 0, params).data,
-                                  M.vke_forward(fe, 1, params).data)
+    np.testing.assert_array_equal(M.vke_forward(fe, [0], params).data,
+                                  M.vke_forward(fe, [1], params).data)
 
 
 def test_vke_matches_step_by_step_oracle(small_cfg):
     params = make_params(small_cfg)
     rng = np.random.default_rng(2)
     fe = rng.normal(size=(3, 8))
-    got = M.vke_forward(dg.Tensor(fe[None]), 2, params).data[0]
+    got = M.vke_forward(dg.Tensor(fe[None]), [2], params).data[0, 0]
 
     # plain-loop oracle: per-input transforms, explicit softmax, MLP head
-    p = {k: v.data for k, v in params.items()}
-    kernel = p["virtual_kernels"][2]
-    q = np.tanh(kernel @ p["expert.2.q_proj.w"] + p["expert.2.q_proj.b"])
+    (qw, qb), (kw, kb), (vw, vb), (w1, b1), (w2, b2) = (
+        expert_slice(params, layer, 2)
+        for layer in ("q_proj", "k_proj", "v_proj", "head1", "head2"))
+    kernel = params["virtual_kernels"].data[2]
+    q = np.tanh(kernel @ qw + qb)
     logits = []
     keys, values = [], []
     for i in range(3):
-        keys.append(np.tanh(fe[i] @ p["expert.2.k_proj.w"] + p["expert.2.k_proj.b"]))
-        values.append(np.tanh(fe[i] @ p["expert.2.v_proj.w"] + p["expert.2.v_proj.b"]))
+        keys.append(np.tanh(fe[i] @ kw + kb))
+        values.append(np.tanh(fe[i] @ vw + vb))
         logits.append(float(q @ keys[i]) / math.sqrt(8.0))
     es = [math.exp(z - max(logits)) for z in logits]
     ws = [e / sum(es) for e in es]
     ctx = sum(w * v for w, v in zip(ws, values))
-    hidden = np.maximum(ctx @ p["expert.2.head.w1"] + p["expert.2.head.b1"], 0.0)
-    expected = hidden @ p["expert.2.head.w2"] + p["expert.2.head.b2"]
+    hidden = np.maximum(ctx @ w1 + b1, 0.0)
+    expected = hidden @ w2 + b2
     np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
@@ -216,10 +228,16 @@ def test_vke_batch_matches_single(small_cfg):
     params = make_params(small_cfg)
     rng = np.random.default_rng(3)
     fe = rng.normal(size=(4, 3, 8))
-    batched = M.vke_forward(dg.Tensor(fe), 1, params).data
+    batched = M.vke_forward(dg.Tensor(fe), [1], params).data
     for b in range(4):
-        single = M.vke_forward(dg.Tensor(fe[b:b + 1]), 1, params).data
-        np.testing.assert_allclose(batched[b], single[0], atol=1e-12)
+        single = M.vke_forward(dg.Tensor(fe[b:b + 1]), [1], params).data
+        np.testing.assert_allclose(batched[0, b], single[0, 0], atol=1e-12)
+    # several experts in one call: each row block equals that expert alone
+    experts = [4, 0, 2]
+    stacked = M.vke_forward(dg.Tensor(fe), experts, params).data
+    for row, e in enumerate(experts):
+        np.testing.assert_array_equal(stacked[row],
+                                      M.vke_forward(dg.Tensor(fe), [e], params).data[0])
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +252,7 @@ def test_vkg_singleton_task_set(small_cfg):
     outs = dg.Tensor(rng.normal(size=(1, 1, 8)))
     tag = dg.Tensor(rng.normal(size=(1, 8)))
     mixed, w = M.vkg_combine(outs, tag, Task.CTR, params, routing)
-    np.testing.assert_allclose(mixed.data, outs.data[:, 0], atol=1e-15)
+    np.testing.assert_allclose(mixed.data, outs.data[0], atol=1e-15)
     np.testing.assert_allclose(w.data, [[1.0]], atol=1e-15)
 
 
@@ -242,11 +260,11 @@ def test_vkg_equal_kernels_give_uniform_weights(small_cfg):
     params = make_params(small_cfg)
     params["virtual_kernels"].data[...] = params["virtual_kernels"].data[0]
     rng = np.random.default_rng(5)
-    outs = dg.Tensor(rng.normal(size=(1, 3, 8)))
+    outs = dg.Tensor(rng.normal(size=(3, 1, 8)))
     tag = dg.Tensor(rng.normal(size=(1, 8)))
     mixed, w = M.vkg_combine(outs, tag, Task.CTR, params, small_cfg.routing)
     np.testing.assert_allclose(w.data, np.full((1, 3), 1 / 3), atol=1e-12)
-    np.testing.assert_allclose(mixed.data, outs.data.mean(axis=1), atol=1e-12)
+    np.testing.assert_allclose(mixed.data, outs.data.mean(axis=0), atol=1e-12)
 
 
 def test_vkg_matches_attention_oracle(small_cfg):
@@ -254,7 +272,7 @@ def test_vkg_matches_attention_oracle(small_cfg):
     rng = np.random.default_rng(6)
     outs = rng.normal(size=(3, 8))
     tag = rng.normal(size=8)
-    mixed, w = M.vkg_combine(dg.Tensor(outs[None]), dg.Tensor(tag[None]), Task.CTR,
+    mixed, w = M.vkg_combine(dg.Tensor(outs[:, None]), dg.Tensor(tag[None]), Task.CTR,
                              params, small_cfg.routing)
 
     p = {k: v.data for k, v in params.items()}
@@ -317,8 +335,10 @@ def test_routing_isolation_bit_identical(small_cfg, small_batch_examples):
     before = M.mvke_forward(batch, cfg, params)[Task.CTR][0].data.copy()
     # perturb everything owned by expert 1 and the cvr tower/gate
     rng = np.random.default_rng(8)
+    for name in expert_names(params):
+        params[name].data[1] += rng.normal(size=params[name].data[1].shape)
     for name, t in params.items():
-        if name.startswith("expert.1.") or ".cvr" in name:
+        if ".cvr" in name:
             t.data += rng.normal(size=t.data.shape)
     params["virtual_kernels"].data[1] += 0.37
     after = M.mvke_forward(batch, cfg, params)[Task.CTR][0].data
@@ -329,8 +349,8 @@ def test_routing_isolation_under_default_split(small_cfg, small_batch_examples):
     params = make_params(small_cfg)
     batch = M.encode_examples(small_batch_examples, small_cfg.schema)
     before = M.mvke_forward(batch, small_cfg, params)[Task.CTR][0].data.copy()
-    for proj in ("q_proj.w", "k_proj.b", "head.w2"):
-        params[f"expert.4.{proj}"].data += 1.0  # expert 4 serves cvr only
+    for name in ("q_proj.w", "k_proj.b", "head2.w"):
+        params[f"experts.{name}"].data[4] += 1.0  # expert 4 serves cvr only
     after = M.mvke_forward(batch, small_cfg, params)[Task.CTR][0].data
     np.testing.assert_array_equal(before, after)
 
@@ -344,8 +364,8 @@ def test_shared_experts_receive_gradient_from_each_single_task_loss(
         out = M.mvke_forward(batch, small_cfg, params, (task,))
         dg.backward(dg.bce_loss(out[task][0], labels))
         for shared in small_cfg.routing.shared:
-            grad = params[f"expert.{shared}.k_proj.w"].grad
-            assert grad is not None and np.linalg.norm(grad) > 0.0
+            grad = params["experts.k_proj.w"].grad
+            assert grad is not None and np.linalg.norm(grad[shared]) > 0.0
 
 
 def test_gate_weights_ignore_user_features(small_cfg, small_batch_examples):
@@ -390,22 +410,28 @@ def test_full_model_gradient_check(small_cfg, small_batch_examples):
 
 
 def test_single_expert_loss_gradient_check(small_cfg, small_batch_examples):
-    # one expert path plus BCE, a handful of parameters, tight tolerance
+    # the mean of all expert paths plus BCE, every entry of every expert
+    # slice, tight tolerance. O(1) field embeddings: at the +-0.05 init tanh
+    # is near-linear and softmax shift invariance leaves the key bias a
+    # gradient (~1e-7) below what central differences resolve.
     params = make_params(small_cfg)
+    rng = np.random.default_rng(10)
+    for fname, _ in small_cfg.schema.user_fields:
+        table = params[f"user_embed.{fname}"].data
+        table[...] = rng.normal(size=table.shape)
     batch = M.encode_examples(small_batch_examples, small_cfg.schema)
+    k = small_cfg.routing.n_experts
 
     def loss():
         fe = M.embed_user_fields(batch, params, small_cfg.schema)
-        out = M.vke_forward(fe, 0, params)
+        out = dg.reduce_mean(M.vke_forward(fe, range(k), params), axis=0)
         tag = M.tag_tower(batch.tag_idx, batch.tag_weight, Task.CTR, params)
-        p = M.score_pair(out, tag, Task.CTR, params)
-        return dg.bce_loss(p, batch.clicks)
+        return dg.bce_loss(M.score_pair(out, tag, Task.CTR, params), batch.clicks)
 
     subset = {name: params[name] for name in
-              ("expert.0.q_proj.w", "expert.0.k_proj.w", "expert.0.v_proj.b",
-               "expert.0.head.w1", "virtual_kernels", "tag_tower.ctr.proj.w",
+              (*expert_names(params), "virtual_kernels", "tag_tower.ctr.proj.w",
                "user_embed.color", "temperature.ctr")}
-    assert dg.grad_check(loss, subset, max_entries=8) <= 1e-5
+    assert dg.grad_check(loss, subset) <= 1e-5
 
 
 # ---------------------------------------------------------------------------

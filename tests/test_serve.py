@@ -54,7 +54,7 @@ def test_cached_vectors_match_direct_expert_outputs(served):
         one = M.encode_examples([D.Example(user_id, fields, (0,), 0, 0)], model.cfg.schema)
         fe = M.embed_user_fields(one, model.params, model.cfg.schema)
         for e in range(model.cfg.routing.n_experts):
-            direct = M.vke_forward(fe, e, model.params).data[0]
+            direct = M.vke_forward(fe, [e], model.params).data[0, 0]
             np.testing.assert_allclose(user_cache.lookup(user_id)[e], direct,
                                        atol=1e-6)
 
@@ -177,8 +177,12 @@ def test_empty_tag_list_gives_empty_cache(served):
     model, users, _, _ = served
     with dg.precision("f32"):
         _, tag_cache = S.build_caches(model, users[:3], [])
-    assert tag_cache[Task.CTR].tag_ids == []
-    assert tag_cache[Task.CTR].embeddings.shape[0] == 0
+    for task in M.TASKS:
+        tc = tag_cache[task]
+        assert tc.tag_ids == []
+        assert tc.embeddings.shape == (0, model.cfg.schema.embed_dim)
+        assert tc.gate_weights.shape == (0, len(model.cfg.routing.task_experts(task)))
+        assert tc.embeddings.dtype == tc.gate_weights.dtype == np.float32
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from mvke.errors import ConfigError, TrainingDivergenceError
 from mvke.evaluation import evaluate
 from mvke.model import Task
 
-from conftest import FakeExample
+from fakes import FakeExample
 
 
 pytestmark = pytest.mark.usefixtures("f64")
@@ -189,14 +189,21 @@ def test_single_task_step_leaves_other_task_params_untouched(tiny_data):
     frozen = {n: t.data.copy() for n, t in model.params.items()}
     T.fit(model, train[:512], test[:256], T.TrainConfig(epochs=1, mode="ctr-only"))
     # cvr-exclusive experts (3, 4), the cvr tag tower, gate, and temperature
-    untouched_prefixes = ("expert.3.", "expert.4.", "tag_tower.cvr.", "gate.cvr.",
-                          "temperature.cvr")
+    untouched, moved = [], []
     for name, before in frozen.items():
-        if name.startswith(untouched_prefixes):
-            np.testing.assert_array_equal(model.params[name].data, before,
-                                          err_msg=name)
-        elif name.startswith(("expert.0.", "tag_tower.ctr.")):
-            assert not np.array_equal(model.params[name].data, before), name
+        after = model.params[name].data
+        if name.startswith("experts."):
+            untouched.append((f"{name}[3:5]", after[3:], before[3:]))
+            moved.append((f"{name}[0]", after[0], before[0]))
+        elif name.startswith(("tag_tower.cvr.", "gate.cvr.", "temperature.cvr")):
+            untouched.append((name, after, before))
+        elif name.startswith("tag_tower.ctr."):
+            moved.append((name, after, before))
+    assert any(name.startswith("experts.") for name, _, _ in untouched)
+    for name, after, before in untouched:
+        np.testing.assert_array_equal(after, before, err_msg=name)
+    for name, after, before in moved:
+        assert not np.array_equal(after, before), name
 
 
 def test_checkpoint_round_trip_preserves_validation_auc(tmp_path, tiny_data):
@@ -214,7 +221,7 @@ def test_fit_reports_divergence_with_location(tiny_data):
     train, test, mcfg = tiny_data
     model = M.MvkeModel(mcfg, seed=0)
     # simulate an already-diverged parameter: the next forward must abort
-    model.params["expert.0.head.w1"].data[0, 0] = np.nan
+    model.params["experts.head1.w"].data[0, 0, 0] = np.nan
     with pytest.raises(TrainingDivergenceError) as err:
         T.fit(model, train, test, T.TrainConfig(epochs=1))
     assert err.value.epoch == 0
