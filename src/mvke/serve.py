@@ -23,7 +23,7 @@ import numpy as np
 from . import diffgraph as dg
 from .errors import ConfigError, DataError
 from .model import MvkeModel, Task, TASKS, encode_examples
-from .data import Example
+from .data import Example, _sigmoid
 
 _HEADER = struct.Struct("<qqq")  # (vectors per row, vector dim, row count)
 
@@ -179,9 +179,9 @@ def build_caches(model: MvkeModel, users: Sequence[tuple[int, tuple]],
         examples = [Example(u, fv, (0,), 0, 0) for u, fv in part]
         batch = encode_examples(examples, model.cfg.schema)
         chunks.append(model.user_expert_outputs(batch))
-    vectors = (np.concatenate(chunks)
-               if chunks else np.zeros((0, model.cfg.routing.n_experts,
-                                        model.cfg.schema.embed_dim)))
+    vectors = (np.concatenate(chunks) if chunks else
+               np.zeros((0, model.cfg.routing.n_experts, model.cfg.schema.embed_dim),
+                        dtype=model.params["virtual_kernels"].data.dtype))
     user_cache = UserCache(user_ids, vectors)
 
     per_task = {}
@@ -193,48 +193,85 @@ def build_caches(model: MvkeModel, users: Sequence[tuple[int, tuple]],
     return user_cache, TagCache(per_task)
 
 
-def _mix_and_score(user_vectors: np.ndarray, tag_cache: TaskTagCache,
-                   row: int) -> np.ndarray:
-    """Scores of one cached tag against users, [n_users]."""
-    weights = tag_cache.gate_weights[row]
-    experts = list(tag_cache.expert_ids)
-    mixed = np.einsum("ukd,k->ud", user_vectors[:, experts, :],
-                      weights.astype(user_vectors.dtype))
-    tag_vec = tag_cache.embeddings[row]
-    dot = mixed @ tag_vec
-    norms = (np.linalg.norm(mixed, axis=1) * np.linalg.norm(tag_vec))
-    cos = np.clip(dot / np.maximum(norms, 1e-12), -1.0, 1.0)
-    return dg._sigmoid_values(tag_cache.tau * cos)
-
-
 def score_from_cache(user_id: int, tag_id: int, task: Task,
                      caches: tuple[UserCache, TagCache]) -> float:
     """Cached score for one (user, tag) pair; exact match of the forward."""
     user_cache, tag_cache = caches
     tc = tag_cache[task]
     row = tc.row(tag_id)
-    vectors = user_cache.lookup(user_id)[None, :, :]
-    return float(_mix_and_score(vectors, tc, row)[0])
+    mixed = tc.gate_weights[row] @ user_cache.lookup(user_id)[list(tc.expert_ids)]
+    tag_vec = tc.embeddings[row]
+    norms = math.sqrt(float(mixed @ mixed)) * math.sqrt(float(tag_vec @ tag_vec))
+    cos = min(max(float(mixed @ tag_vec) / max(norms, 1e-12), -1.0), 1.0)
+    return _sigmoid(tc.tau * cos)
+
+
+def _all_tags_scorer(tc: TaskTagCache):
+    """(tag ids ascending, score): score(vectors [u, k_all, d]) -> [u, T] float64.
+
+    The gates depend only on the tag, so with ``E_u`` the user's expert rows
+    and ``w_t`` the tag's gate weights, ``mix · t = Σ_k w_tk (E_uk · t)`` and
+    ``‖mix‖² = w_tᵀ (E_u E_uᵀ) w_t``: one matmul each per user chunk, with
+    no ``[u, T, d]`` tensor. float64 keeps the quadratic form clear of
+    cancellation. Columns are in ascending tag-id order.
+    """
+    tag_ids = np.asarray(tc.tag_ids, dtype=np.int64)
+    order = np.argsort(tag_ids, kind="stable")
+    emb = tc.embeddings[order].astype(np.float64)
+    w = tc.gate_weights[order].astype(np.float64)
+    (n, k), d = w.shape, emb.shape[1]
+    dot_form = (w[:, :, None] * emb[:, None, :]).reshape(n, k * d).T
+    norm_form = (w[:, :, None] * w[:, None, :]).reshape(n, k * k).T
+    tag_norms = np.linalg.norm(emb, axis=1)
+    experts = list(tc.expert_ids)
+
+    def score(vectors: np.ndarray) -> np.ndarray:
+        v = vectors[:, experts, :].astype(np.float64)
+        u = len(v)
+        cos = v.reshape(u, k * d) @ dot_form
+        norms = (v @ v.transpose(0, 2, 1)).reshape(u, k * k) @ norm_form
+        # in place: a fresh [u, T] temporary per step costs more than the step
+        np.sqrt(np.maximum(norms, 0.0, out=norms), out=norms)
+        norms *= tag_norms
+        cos /= np.maximum(norms, 1e-12, out=norms)
+        np.clip(cos, -1.0, 1.0, out=cos)
+        cos *= tc.tau
+        return dg._sigmoid_values(cos)
+
+    return tag_ids[order], score
 
 
 def assign_topk(caches: tuple[UserCache, TagCache], top_n: int,
                 task: Task) -> TagAssignment:
-    """Exhaustive exact top-N tags per user from the caches alone."""
+    """Exhaustive exact top-N tags per user from the caches alone.
+
+    Scores every tag for ``CACHE_BATCH`` users at a time, so memory stays
+    at a few ``[CACHE_BATCH, T]`` arrays whatever the roster size.
+    """
     if top_n < 1:
         raise ConfigError("top_n must be >= 1")
     user_cache, tag_cache = caches
-    tc = tag_cache[task]
-    n_tags = len(tc.tag_ids)
-    top_n = min(top_n, n_tags)
-    scores = np.empty((len(user_cache.user_ids), n_tags))
-    for row in range(n_tags):
-        scores[:, row] = _mix_and_score(user_cache.vectors, tc, row)
-    tag_arr = np.array(tc.tag_ids)
+    tag_ids, score = _all_tags_scorer(tag_cache[task])
+    top_n = min(top_n, len(tag_ids))
+    if top_n == 0:
+        return TagAssignment(task, 0, {u: [] for u in user_cache.user_ids})
     entries: dict[int, list[tuple[int, float]]] = {}
-    for i, user_id in enumerate(user_cache.user_ids):
-        # sort by descending score, ascending tag id on ties
-        order = np.lexsort((tag_arr, -scores[i]))[:top_n]
-        entries[user_id] = [(int(tag_arr[j]), float(scores[i, j])) for j in order]
+    for start in range(0, len(user_cache.user_ids), CACHE_BATCH):
+        scores = score(user_cache.vectors[start:start + CACHE_BATCH])
+        cols = np.argpartition(-scores, top_n - 1, axis=1)[:, :top_n]
+        picked = np.take_along_axis(scores, cols, axis=1)
+        # rows where only some of the tags tied at the top_n-th score fit:
+        # a stable sort over ascending tag ids keeps the lowest ids
+        kth = picked.min(axis=1, keepdims=True)
+        split = np.flatnonzero((scores == kth).sum(axis=1) > (picked == kth).sum(axis=1))
+        cols[split] = np.argsort(-scores[split], axis=1, kind="stable")[:, :top_n]
+        picked = np.take_along_axis(scores, cols, axis=1)
+        # score descending, then tag id ascending (columns are in tag-id order)
+        order = np.lexsort((cols, -picked), axis=1)
+        ranked_tags = tag_ids[np.take_along_axis(cols, order, axis=1)].tolist()
+        ranked_scores = np.take_along_axis(picked, order, axis=1).tolist()
+        entries.update(zip(user_cache.user_ids[start:start + CACHE_BATCH],
+                           (list(zip(t, s)) for t, s in zip(ranked_tags, ranked_scores))))
     return TagAssignment(task, top_n, entries)
 
 
@@ -275,10 +312,11 @@ def bench(model: MvkeModel, users: Sequence[tuple[int, tuple]],
 
         model.reset_counters()
         t0 = time.perf_counter()
-        caches = build_caches(model, sub_users, sub_tags, tasks)
+        user_cache, tag_cache = build_caches(model, sub_users, sub_tags, tasks)
         for task in tasks:
-            for row in range(n_tags):
-                _mix_and_score(caches[0].vectors, caches[1][task], row)
+            _, score = _all_tags_scorer(tag_cache[task])
+            for start in range(0, n_users, CACHE_BATCH):
+                score(user_cache.vectors[start:start + CACHE_BATCH])
         cached_seconds = time.perf_counter() - t0
         cached_counts = dict(model.counters)
 

@@ -1,10 +1,14 @@
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import mvke
 from mvke.cli import main
 
 
@@ -288,3 +292,13 @@ def test_divergence_exits_3(tmp_path):
 def test_usage_error_exits_nonzero():
     assert main(["no-such-command"]) == 1
     assert main([]) == 1
+
+
+def test_module_run_reaches_the_cli():
+    src = str(Path(mvke.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "mvke.cli", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: mvke")

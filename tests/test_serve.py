@@ -185,6 +185,99 @@ def test_empty_tag_list_gives_empty_cache(served):
         assert tc.embeddings.dtype == tc.gate_weights.dtype == np.float32
 
 
+def test_empty_roster_gives_empty_cache_in_model_dtype(served):
+    model, _, tags, _ = served
+    with dg.precision("f32"):
+        caches = S.build_caches(model, [], tags)
+    assert caches[0].vectors.shape == (0, model.cfg.routing.n_experts,
+                                       model.cfg.schema.embed_dim)
+    assert caches[0].vectors.dtype == np.float32
+    assert S.assign_topk(caches, 3, Task.CTR).entries == {}
+
+
+def _brute_force_topk(caches, top_n, task):
+    """Every pair through score_from_cache, then one lexsort per user."""
+    tag_ids = np.array(caches[1][task].tag_ids, dtype=np.int64)
+    out = {}
+    for user_id in caches[0].user_ids:
+        scores = np.array([S.score_from_cache(user_id, int(t), task, caches)
+                           for t in tag_ids])
+        order = np.lexsort((tag_ids, -scores))[:top_n]
+        out[user_id] = [(int(tag_ids[j]), float(scores[j])) for j in order]
+    return out
+
+
+def _assert_topk_matches_brute_force(caches, top_n, task):
+    got = S.assign_topk(caches, top_n, task).entries
+    want = _brute_force_topk(caches, top_n, task)
+    assert list(got) == list(want)
+    for user_id, listed in want.items():
+        assert [t for t, _ in got[user_id]] == [t for t, _ in listed], user_id
+        np.testing.assert_allclose([s for _, s in got[user_id]], [s for _, s in listed],
+                                   rtol=0, atol=1e-6)
+        assert all(type(t) is int and type(s) is float for t, s in got[user_id])
+
+
+@pytest.fixture(scope="module")
+def served_f64():
+    """f64 caches of a small model, tag ids in non-ascending order."""
+    with dg.precision("f64"):
+        cfg = D.GeneratorConfig(**SMALL)
+        _, test, _ = D.generate(cfg)
+        mcfg = M.ModelConfig(schema=D.schema_for(cfg, embed_dim=8),
+                             routing=M.five_expert_routing())
+        model = M.MvkeModel(mcfg, seed=4)
+        users = D.user_roster(test)
+        tags = list(np.random.default_rng(5).permutation(cfg.n_tags))
+        yield model, users, S.build_caches(model, users, tags)
+
+
+@pytest.mark.parametrize("task", M.TASKS, ids=lambda t: t.value)
+@pytest.mark.parametrize("top_n", [1, 5, SMALL["n_tags"]])
+def test_topk_matches_brute_force_with_unordered_tag_ids(served_f64, top_n, task):
+    _, _, caches = served_f64
+    assert caches[1][task].tag_ids != sorted(caches[1][task].tag_ids)
+    _assert_topk_matches_brute_force(caches, top_n, task)
+
+
+def test_topk_matches_brute_force_over_several_chunks():
+    rng = np.random.default_rng(6)
+    n_users = 2 * S.CACHE_BATCH + 3
+    user_cache = S.UserCache(list(rng.permutation(10 * n_users)[:n_users].tolist()),
+                             rng.standard_normal((n_users, 5, 8)))
+    gates = rng.random((20, 3))
+    tc = S.TaskTagCache(Task.CVR, list(range(40, 0, -2)), rng.standard_normal((20, 8)),
+                        gates / gates.sum(axis=1, keepdims=True), (0, 2, 4), tau=4.0)
+    _assert_topk_matches_brute_force((user_cache, S.TagCache({Task.CVR: tc})), 4, Task.CVR)
+
+
+@pytest.mark.parametrize("top_n", [2, 3, 4])
+def test_topk_keeps_lowest_tag_ids_of_ties_straddling_the_cut(top_n):
+    # tags 3, 6 and 1 share one embedding: every user ranks tag 8 first, then
+    # those three tied by ascending id, then tag 4; at top_n 2 or 3 only the
+    # lowest ids of the tie fit, at 4 all of them do
+    rng = np.random.default_rng(7)
+    user_cache = S.UserCache([10, 11, 12], 1.0 + 0.1 * rng.random((3, 2, 4)))
+    tied = [1.0, 1.0, 1.0, 0.0]
+    emb = np.array([[1.0, 1.0, 1.0, 1.0], tied, tied, tied, [-1.0, 0.0, 0.0, 0.0]])
+    tc = S.TaskTagCache(Task.CTR, [8, 3, 6, 1, 4], emb, np.full((5, 2), 0.5),
+                        expert_ids=(0, 1), tau=3.0)
+    caches = (user_cache, S.TagCache({Task.CTR: tc}))
+    _assert_topk_matches_brute_force(caches, top_n, Task.CTR)
+    for listed in S.assign_topk(caches, top_n, Task.CTR).entries.values():
+        assert [t for t, _ in listed] == [8, 1, 3, 6][:top_n]
+
+
+def test_topk_of_no_tags_lists_nothing(served):
+    model, users, _, _ = served
+    with dg.precision("f32"):
+        caches = S.build_caches(model, users[:5], [])
+    for task in M.TASKS:
+        assignment = S.assign_topk(caches, 3, task)
+        assert assignment.entries == {u: [] for u, _ in users[:5]}
+        assert assignment.entries == _brute_force_topk(caches, 3, task)
+
+
 # ---------------------------------------------------------------------------
 # cache files
 
