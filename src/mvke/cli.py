@@ -124,15 +124,26 @@ def generator_config(resolved: dict) -> data_mod.GeneratorConfig:
         raise ConfigError(f"bad data section: {e}") from e
 
 
+def _field(resolved: dict, section: str, key: str, convert):
+    """``convert(resolved[section][key])``; ConfigError naming the section and field."""
+    try:
+        return convert(resolved[section][key])
+    except (KeyError, TypeError, ValueError) as e:
+        raise ConfigError(f"bad {section} section: field {key!r}: {e}") from e
+
+
 def model_config(resolved: dict) -> ModelConfig:
     gen_cfg = generator_config(resolved)
-    m = resolved["model"]
-    schema = data_mod.schema_for(gen_cfg, embed_dim=int(m["embed_dim"]))
-    routing = ExpertRouting(int(m["n_experts"]), tuple(m["ctr_experts"]),
-                            tuple(m["cvr_experts"]))
+
+    def m(key, convert):
+        return _field(resolved, "model", key, convert)
+
+    schema = data_mod.schema_for(gen_cfg, embed_dim=m("embed_dim", int))
+    routing = ExpertRouting(m("n_experts", int), m("ctr_experts", tuple),
+                            m("cvr_experts", tuple))
     return ModelConfig(schema=schema, routing=routing,
-                       head_hidden=int(m["head_hidden"]),
-                       tau_init=float(m["tau_init"]))
+                       head_hidden=m("head_hidden", int),
+                       tau_init=m("tau_init", float))
 
 
 def train_config(resolved: dict) -> TrainConfig:
@@ -265,7 +276,7 @@ def cmd_export_attention(args) -> int:
 
 def cmd_predict(args) -> int:
     resolved = resolve_config(args.config, args)
-    top_n = int(resolved["serve"]["topk"])
+    top_n = _field(resolved, "serve", "topk", int)
     if top_n < 1:
         raise ConfigError("topk must be >= 1")
     out = _prepare_out(resolved, args.out)
@@ -297,7 +308,8 @@ def cmd_bench(args) -> int:
         raise ConfigError("bench needs a mixture checkpoint")
     users = data_mod.user_roster(test_ds)
     tags = list(range(model.cfg.schema.tag_vocab_size))
-    sizes = [tuple(map(int, s)) for s in resolved["serve"]["bench_sizes"]]
+    sizes = _field(resolved, "serve", "bench_sizes",
+                   lambda pairs: [(int(u), int(t)) for u, t in pairs])
     rows = serve_mod.bench(model, users, tags, sizes)
     eval_mod.write_csv(rows, out / "bench.csv",
                        fieldnames=["n_users", "n_tags", "n_tasks",

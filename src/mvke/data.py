@@ -121,12 +121,12 @@ class GroundTruth:
         return total / len(tags)
 
     def p_click(self, user_id: int, tags: Sequence[int]) -> float:
-        return _sigmoid(self._affinity(self.user_click, user_id, tags)
-                        + self.click_offset)
+        return dg._sigmoid_scalar(self._affinity(self.user_click, user_id, tags)
+                                  + self.click_offset)
 
     def p_conv_given_click(self, user_id: int, tags: Sequence[int]) -> float:
-        return _sigmoid(self._affinity(self.user_conv, user_id, tags)
-                        + self.conv_offset)
+        return dg._sigmoid_scalar(self._affinity(self.user_conv, user_id, tags)
+                                  + self.conv_offset)
 
     def p_conv(self, user_id: int, tags: Sequence[int]) -> float:
         return self.p_click(user_id, tags) * self.p_conv_given_click(user_id, tags)
@@ -167,13 +167,6 @@ class GroundTruth:
             train_span=tuple(doc["train_span"]),
             test_span=tuple(doc["test_span"]),
         )
-
-
-def _sigmoid(z: float) -> float:
-    if z >= 0:
-        return 1.0 / (1.0 + math.exp(-z))
-    e = math.exp(z)
-    return e / (1.0 + e)
 
 
 def _jsonable_fields(field_values: tuple) -> list:

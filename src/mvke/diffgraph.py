@@ -1,8 +1,10 @@
 """Dense tensors with reverse-mode gradients.
 
-A small numpy-backed engine: just enough primitives for embedding towers,
-scaled dot-product attention, cosine scoring and BCE training, plus a
-finite-difference gradient checker and a line-JSON checkpoint format.
+A small numpy-backed engine. Its primitives, each one graph node with a
+hand-written gradient, are ``add``, ``mul``, ``matmul``, ``transpose``, ``reshape``,
+``reduce_sum``, ``reduce_mean``, ``tanh``, ``relu``, ``sigmoid``, ``softmax``,
+``gather_rows``, ``cosine_similarity`` and ``bce_loss``; attention is composed of
+them. Plus a finite-difference gradient checker and a line-JSON checkpoint format.
 
 Model parameters are plain ``dict[str, Tensor]`` maps; the name is a
 dot-separated path (for example ``"experts.q_proj.w"``, which stacks the
@@ -168,16 +170,6 @@ def add(a, b) -> Tensor:
     return _node(out, "add", (a, b), grad_fn)
 
 
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = a.data - b.data
-
-    def grad_fn(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
-
-    return _node(out, "sub", (a, b), grad_fn)
-
-
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = a.data * b.data
@@ -187,15 +179,6 @@ def mul(a, b) -> Tensor:
                 _unbroadcast(g * a.data, b.data.shape))
 
     return _node(out, "mul", (a, b), grad_fn)
-
-
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-
-    def grad_fn(g):
-        return (-g,)
-
-    return _node(-a.data, "neg", (a,), grad_fn)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -237,20 +220,6 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
         return (g.reshape(a.data.shape),)
 
     return _node(out, "reshape", (a,), grad_fn)
-
-
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    tensors = tuple(as_tensor(t) for t in tensors)
-    if not tensors:
-        raise ConfigError("concat needs at least one tensor")
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def grad_fn(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return _node(out, "concat", tensors, grad_fn)
 
 
 def reduce_sum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
@@ -303,8 +272,22 @@ def relu(a: Tensor) -> Tensor:
 
 
 def _sigmoid_values(x: np.ndarray) -> np.ndarray:
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    """Stable sigmoid: ``1 / (1 + e)`` where ``x >= 0``, else ``e / (1 + e)``, ``e = exp(-|x|)``."""
+    e = np.abs(x, out=np.empty_like(x))
+    np.exp(np.negative(e, out=e), out=e)
+    out = np.add(e, 1.0, out=np.empty_like(x))
+    np.divide(e, out, out=e)
+    np.divide(1.0, out, out=out)
+    np.copyto(out, e, where=x < 0)
+    return out
+
+
+def _sigmoid_scalar(z: float) -> float:
+    """``_sigmoid_values`` for one Python float."""
+    if z >= 0:
+        return 1.0 / (1.0 + math.exp(-z))
+    e = math.exp(z)
+    return e / (1.0 + e)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -315,27 +298,6 @@ def sigmoid(a: Tensor) -> Tensor:
         return (g * out * (1.0 - out),)
 
     return _node(out, "sigmoid", (a,), grad_fn)
-
-
-def log(a: Tensor) -> Tensor:
-    a = as_tensor(a)
-    out = np.log(a.data)
-
-    def grad_fn(g):
-        return (g / a.data,)
-
-    return _node(out, "log", (a,), grad_fn)
-
-
-def clip(a: Tensor, lo: float, hi: float) -> Tensor:
-    a = as_tensor(a)
-    out = np.clip(a.data, lo, hi)
-    inside = (a.data > lo) & (a.data < hi)
-
-    def grad_fn(g):
-        return (g * inside,)
-
-    return _node(out, "clip", (a,), grad_fn)
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -424,39 +386,41 @@ def cosine_similarity(a: Tensor, b: Tensor) -> Tensor:
     return _node(out, "cosine_similarity", (a, b), grad_fn)
 
 
-def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
-    """Attention ``softmax(Q K^T / sqrt(d)) V`` for 2-d Q, K, V.
+def attention_weights(q: Tensor, k: Tensor) -> Tensor:
+    """``softmax(Q K^T / sqrt(d))``: ``[..., q, d] x [..., n, d] -> [..., q, n]``."""
+    kt = transpose(k)
+    return softmax(mul(matmul(q, kt), 1.0 / math.sqrt(kt.shape[-2])), axis=-1)
 
-    Returns ``(output [q, v_dim], weights [q, n])``; the weights are a
-    probability distribution per query row and are reused by the serving
-    cache.
+
+def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
+    """``(weights @ v [..., q, e], weights [..., q, n])`` for ``v [..., n, e]``.
+
+    ``weights = attention_weights(q, k)``; leading axes broadcast as in ``matmul``,
+    which also rejects mismatched shapes.
     """
-    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
-        raise ConfigError("scaled_dot_attention expects 2-d Q, K, V")
-    if q.shape[1] != k.shape[1]:
-        raise ConfigError(f"query dim {q.shape[1]} != key dim {k.shape[1]}")
-    if k.shape[0] != v.shape[0]:
-        raise ConfigError(f"key count {k.shape[0]} != value count {v.shape[0]}")
-    scale = 1.0 / math.sqrt(k.shape[1])
-    logits = mul(matmul(q, transpose(k)), scale)
-    weights = softmax(logits, axis=-1)
-    out = matmul(weights, v)
-    return out, weights
+    weights = attention_weights(q, k)
+    return matmul(weights, v), weights
 
 
 def bce_loss(p: Tensor, y) -> Tensor:
-    """Mean binary cross-entropy of probabilities ``p`` against 0/1 labels."""
+    """Mean binary cross-entropy of ``p`` against 0/1 labels, one node.
+
+    ``p`` is clipped to ``[BCE_EPS, 1 - BCE_EPS]``; clipped entries get a zero gradient.
+    """
     p = as_tensor(p)
-    yd = np.asarray(y.data if isinstance(y, Tensor) else y, dtype=_dtype)
+    yd = np.asarray(y.data if isinstance(y, Tensor) else y, dtype=p.data.dtype)
     if yd.shape != p.shape:
         raise ConfigError(f"bce_loss shape mismatch: {p.shape} vs {yd.shape}")
     if not np.all((yd == 0.0) | (yd == 1.0)):
         raise DataError("bce_loss labels must be 0 or 1")
-    pc = clip(p, BCE_EPS, 1.0 - BCE_EPS)
-    y_t = Tensor(yd)
-    return neg(reduce_mean(add(mul(y_t, log(pc)),
-                               mul(sub(1.0, y_t), log(sub(1.0, pc))))))
+    pc = np.clip(p.data, BCE_EPS, 1.0 - BCE_EPS)
+    out = -np.mean(yd * np.log(pc) + (1.0 - yd) * np.log(1.0 - pc))
+
+    def grad_fn(g):
+        inside = (p.data > BCE_EPS) & (p.data < 1.0 - BCE_EPS)
+        return (g * inside * (pc - yd) / (pc * (1.0 - pc) * p.size),)
+
+    return _node(np.asarray(out), "bce_loss", (p,), grad_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -516,11 +480,12 @@ def grad_check(f: Callable[[], Tensor], params: dict[str, Tensor],
 
     ``f`` must be a deterministic closure over ``params`` returning a
     scalar loss. Returns the maximum relative error over all checked
-    entries. Requires 64-bit precision; ``max_entries`` subsamples large
+    entries. Requires float64 parameters; ``max_entries`` subsamples large
     parameter tensors.
     """
-    if _dtype is not np.float64:
-        raise ConfigError("grad_check requires f64 precision")
+    not_f64 = sorted(name for name, t in params.items() if t.data.dtype != np.float64)
+    if not_f64:
+        raise ConfigError(f"grad_check requires float64 parameters, got {not_f64[:5]}")
     zero_grads(params)
     backward(f())
     analytic = {

@@ -67,6 +67,11 @@ class FieldSchema:
     def field_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.user_fields)
 
+    @property
+    def field_offsets(self) -> tuple[int, ...]:
+        """First row of each field in the stacked ``user_embed`` table."""
+        return tuple(np.cumsum([0] + [vocab for _, vocab in self.user_fields])[:-1].tolist())
+
 
 @dataclass(frozen=True)
 class ExpertRouting:
@@ -280,6 +285,12 @@ def _distinct_unit_kernels(rng: np.random.Generator, k: int, dim: int) -> np.nda
     raise ConfigError("could not draw distinct virtual kernels")
 
 
+def _user_table(rng: np.random.Generator, schema: FieldSchema) -> np.ndarray:
+    """One table for all user fields, drawn field by field in schema order."""
+    return np.concatenate([_embed_table(rng, vocab, schema.embed_dim)
+                           for _, vocab in schema.user_fields])
+
+
 def _param(params: dict[str, Tensor], name: str, values: np.ndarray) -> None:
     if name in params:
         raise ConfigError(f"duplicate parameter name {name!r}")
@@ -299,8 +310,7 @@ def init_mvke_params(cfg: ModelConfig, seed: int) -> dict[str, Tensor]:
     schema, routing = cfg.schema, cfg.routing
     d, h = schema.embed_dim, cfg.hidden
     params: dict[str, Tensor] = {}
-    for fname, vocab in schema.user_fields:
-        _param(params, f"user_embed.{fname}", _embed_table(rng, vocab, d))
+    _param(params, "user_embed", _user_table(rng, schema))
     _param(params, "virtual_kernels", _distinct_unit_kernels(rng, routing.n_experts, d))
     # drawn expert by expert, layer by layer, then stacked: w [k, in, out], b [k, 1, out]
     shapes = {"q_proj": (d, d), "k_proj": (d, d), "v_proj": (d, d),
@@ -325,8 +335,7 @@ def init_two_tower_params(cfg: ModelConfig, task: Task, seed: int) -> dict[str, 
     schema = cfg.schema
     d, h = schema.embed_dim, cfg.hidden
     params: dict[str, Tensor] = {}
-    for fname, vocab in schema.user_fields:
-        _param(params, f"user_embed.{fname}", _embed_table(rng, vocab, d))
+    _param(params, "user_embed", _user_table(rng, schema))
     _param(params, "user_mlp.w1", _xavier(rng, d, h))
     _param(params, "user_mlp.b1", np.zeros(h))
     _param(params, "user_mlp.w2", _xavier(rng, h, d))
@@ -348,29 +357,34 @@ def _affine(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
     return dg.add(dg.matmul(x, params[f"{prefix}.w"]), params[f"{prefix}.b"])
 
 
-def _pooled_lookup(table: Tensor, idx: np.ndarray, weight: np.ndarray) -> Tensor:
-    """Mean-pool embedding rows: gather [B, c, d], weight, sum over c."""
-    rows = dg.gather_rows(table, idx)
-    w = Tensor(weight.astype(table.data.dtype))
-    return dg.reduce_sum(dg.mul(rows, dg.reshape(w, (*weight.shape, 1))), axis=1)
+def _pooled_lookup(table: Tensor, idx: Sequence[np.ndarray], weight: Sequence[np.ndarray],
+                   offsets: Sequence[int]) -> Tensor:
+    """Weighted sums of table rows [B, g, d], one per group ``j`` of columns ``idx[j] [B, c_j]``.
+
+    Group ``j``'s ids count from row ``offsets[j]``. All columns are gathered
+    at once, then pooled by one matmul with the constant [B, g, C] weight matrix.
+    """
+    widths = [i.shape[1] for i in idx]
+    cols = np.concatenate(idx, axis=1) + np.repeat(offsets, widths)
+    pool = np.zeros((len(cols), len(widths), cols.shape[1]), dtype=table.data.dtype)
+    pool[:, np.repeat(np.arange(len(widths)), widths), np.arange(cols.shape[1])] = \
+        np.concatenate(weight, axis=1)
+    return dg.matmul(dg.raw_tensor(pool), dg.gather_rows(table, cols))
 
 
 def embed_user_fields(batch: EncodedBatch, params: dict[str, Tensor],
                       schema: FieldSchema) -> Tensor:
     """Field embeddings [B, m, d]; a multi-valued field is mean-pooled into one row."""
-    cols = []
-    for j, (fname, _) in enumerate(schema.user_fields):
-        emb = _pooled_lookup(params[f"user_embed.{fname}"],
-                             batch.field_idx[j], batch.field_weight[j])
-        cols.append(dg.reshape(emb, (batch.size, 1, schema.embed_dim)))
-    return dg.concat(cols, axis=1)
+    return _pooled_lookup(params["user_embed"], batch.field_idx, batch.field_weight,
+                          schema.field_offsets)
 
 
 def tag_tower(tag_idx: np.ndarray, tag_weight: np.ndarray, task: Task,
               params: dict[str, Tensor]) -> Tensor:
     """Tag embeddings [B, d]: mean of tag rows, then affine + tanh."""
     prefix = f"tag_tower.{task.value}"
-    pooled = _pooled_lookup(params[f"{prefix}.embed"], tag_idx, tag_weight)
+    pooled = _pooled_lookup(params[f"{prefix}.embed"], [tag_idx], [tag_weight], [0])
+    pooled = dg.reshape(pooled, (len(tag_idx), pooled.shape[-1]))
     return dg.tanh(_affine(pooled, params, f"{prefix}.proj"))
 
 
@@ -392,16 +406,12 @@ def vke_attention(field_embeddings: Tensor, experts: Sequence[int],
     n = len(experts)
     p = _expert_rows(params, experts, ("q_proj", "k_proj", "v_proj"))
     kernels = dg.reshape(dg.gather_rows(params["virtual_kernels"], experts), (n, 1, d))
-    q = dg.tanh(_affine(kernels, p, "experts.q_proj"))
+    q = dg.reshape(dg.tanh(_affine(kernels, p, "experts.q_proj")), (n, 1, 1, d))
     flat = dg.reshape(field_embeddings, (b * m, d))
-    keys = dg.tanh(_affine(flat, p, "experts.k_proj"))
-    values = dg.tanh(_affine(flat, p, "experts.v_proj"))
-    logits = dg.mul(dg.reshape(dg.matmul(keys, dg.transpose(q)), (n, b, m)),
-                    1.0 / math.sqrt(d))
-    weights = dg.softmax(logits, axis=-1)
-    ctx = dg.reduce_sum(dg.mul(dg.reshape(values, (n, b, m, d)),
-                               dg.reshape(weights, (n, b, m, 1))), axis=2)
-    return ctx, weights
+    keys = dg.reshape(dg.tanh(_affine(flat, p, "experts.k_proj")), (n, b, m, d))
+    values = dg.reshape(dg.tanh(_affine(flat, p, "experts.v_proj")), (n, b, m, d))
+    ctx, weights = dg.scaled_dot_attention(q, keys, values)
+    return dg.reshape(ctx, (n, b, d)), dg.reshape(weights, (n, b, m))
 
 
 def vke_forward(field_embeddings: Tensor, experts: Sequence[int],
@@ -420,13 +430,10 @@ def gate_weights_for_tags(tag_embeddings: Tensor, task: Task,
     Depends only on the tag side and the kernels; user features never
     enter, which is what makes the serving cache exact.
     """
-    experts = routing.task_experts(task)
-    d = tag_embeddings.shape[-1]
-    kernels = dg.gather_rows(params["virtual_kernels"], np.array(experts))
+    kernels = dg.gather_rows(params["virtual_kernels"], np.array(routing.task_experts(task)))
     keys = dg.tanh(_affine(kernels, params, f"gate.{task.value}.k_proj"))
     queries = dg.tanh(_affine(tag_embeddings, params, f"gate.{task.value}.q_proj"))
-    logits = dg.mul(dg.matmul(queries, dg.transpose(keys)), 1.0 / math.sqrt(d))
-    return dg.softmax(logits, axis=-1)
+    return dg.attention_weights(queries, keys)
 
 
 def vkg_combine(vke_outputs: Tensor, tag_embeddings: Tensor, task: Task,
@@ -585,7 +592,7 @@ def save_model(model, out_dir) -> None:
     meta = {
         "kind": model.kind,
         "config": model.cfg.to_dict(),
-        "precision": dg.precision_name(),
+        "precision": dg.dtype_name(next(iter(model.params.values())).data),
     }
     if model.kind == "two_tower":
         meta["task"] = model.task.value
@@ -608,6 +615,7 @@ def load_model(ckpt_dir):
         kind = meta["kind"]
         cfg = ModelConfig.from_dict(meta["config"])
         task = Task(meta["task"]) if kind == "two_tower" else None
+        precision = meta["precision"]
     except KeyError as e:
         raise DataError(f"{meta_path} has no key {e}") from e
     except (ConfigError, OSError, TypeError, ValueError) as e:
@@ -622,6 +630,10 @@ def load_model(ckpt_dir):
                    or built[name].shape != params[name].shape)
     if wrong:
         raise DataError(f"{params_path}: names or shapes differ from the config at {wrong[:5]}")
+    dtypes = sorted({dg.dtype_name(t.data) for t in params.values()})
+    if dtypes != [precision]:
+        raise DataError(f"{meta_path} records precision {precision!r} "
+                        f"but {params_path} holds {dtypes}")
     if task is None:
         return MvkeModel(cfg, params=params)
     return TwoTowerModel(cfg, task, params=params)

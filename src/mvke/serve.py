@@ -23,7 +23,7 @@ import numpy as np
 from . import diffgraph as dg
 from .errors import ConfigError, DataError
 from .model import MvkeModel, Task, TASKS, encode_examples
-from .data import Example, _sigmoid
+from .data import Example
 
 _HEADER = struct.Struct("<qqq")  # (vectors per row, vector dim, row count)
 
@@ -203,7 +203,7 @@ def score_from_cache(user_id: int, tag_id: int, task: Task,
     tag_vec = tc.embeddings[row]
     norms = math.sqrt(float(mixed @ mixed)) * math.sqrt(float(tag_vec @ tag_vec))
     cos = min(max(float(mixed @ tag_vec) / max(norms, 1e-12), -1.0), 1.0)
-    return _sigmoid(tc.tau * cos)
+    return dg._sigmoid_scalar(tc.tau * cos)
 
 
 def _all_tags_scorer(tc: TaskTagCache):

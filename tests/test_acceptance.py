@@ -23,6 +23,8 @@ from mvke.model import Task, TASKS
 from fakes import FakeExample
 
 
+pytestmark = pytest.mark.acceptance
+
 SEEDS = (0, 1, 2)
 
 

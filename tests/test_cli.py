@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import mvke
+import mvke.diffgraph as dg
 from mvke.cli import main
 
 
@@ -163,9 +164,28 @@ def _reshape_first_param(ckpt):
     (ckpt / "params.jsonl").write_text(json.dumps(record) + "\n" + "".join(lines[1:]))
 
 
+def _per_field_user_tables(ckpt):
+    """Rewrite the stacked ``user_embed`` table as one ``user_embed.<field>`` table per field."""
+    fields = json.loads((ckpt / "model.json").read_text())["config"]["user_fields"]
+    lines = []
+    for line in (ckpt / "params.jsonl").read_text().splitlines():
+        record = json.loads(line)
+        if record["name"] != "user_embed":
+            lines.append(line)
+            continue
+        table, start = dg.decode_array(record), 0
+        for name, vocab in fields:
+            lines.append(json.dumps({"name": f"user_embed.{name}",
+                                     **dg.encode_array(table[start:start + vocab])}))
+            start += vocab
+    assert len(lines) > len(fields)
+    (ckpt / "params.jsonl").write_text("\n".join(lines) + "\n")
+
+
 @pytest.mark.parametrize("break_it, names", [(_drop_kind, "model.json"),
                                              (_drop_last_param, "params.jsonl"),
-                                             (_reshape_first_param, "params.jsonl")])
+                                             (_reshape_first_param, "params.jsonl"),
+                                             (_per_field_user_tables, "user_embed")])
 def test_eval_on_broken_checkpoint_is_data_error(pipeline, tmp_path, capsys,
                                                  break_it, names):
     _, cfg, data_dir, train_dir = pipeline
@@ -278,6 +298,23 @@ def test_unknown_mode_is_config_error(tmp_path):
     cfg = write_config(tmp_path, {"mode": "warp-drive"})
     code = main(["gen-data", "--config", cfg, "--out", str(tmp_path / "o")])
     assert code == 1
+
+
+@pytest.mark.parametrize("command, extra, field", [
+    ("train", {"model": {"n_experts": "x"}}, "n_experts"),
+    ("train", {"model": {"ctr_experts": 5}}, "ctr_experts"),
+    ("predict", {"serve": {"topk": "x"}}, "topk"),
+    ("bench", {"serve": {"bench_sizes": [[8, 5, 1]]}}, "bench_sizes"),
+])
+def test_bad_config_value_is_config_error(pipeline, tmp_path, capsys, command, extra, field):
+    _, _, data_dir, train_dir = pipeline
+    argv = [command, "--config", write_config(tmp_path, extra), "--data", str(data_dir),
+            "--out", str(tmp_path / "o")]
+    if command != "train":
+        argv += ["--ckpt", str(train_dir / "checkpoint")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and field in err and "Traceback" not in err
 
 
 def test_divergence_exits_3(tmp_path):

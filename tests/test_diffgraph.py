@@ -119,6 +119,20 @@ def test_attention_dimension_mismatch_is_config_error():
         dg.scaled_dot_attention(t(np.ones((1, 3))), t(np.ones((2, 3))), t(np.ones((3, 2))))
 
 
+def test_attention_leading_axes_match_per_slice_calls():
+    rng = np.random.default_rng(6)
+    q, k, v = (rng.normal(size=(2, 3, n, 4)) for n in (2, 5, 5))
+    out, w = dg.scaled_dot_attention(t(q), t(k), t(v))
+    assert out.shape == (2, 3, 2, 4) and w.shape == (2, 3, 2, 5)
+    for i in range(2):
+        for j in range(3):
+            o2, w2 = dg.scaled_dot_attention(t(q[i, j]), t(k[i, j]), t(v[i, j]))
+            np.testing.assert_array_equal(out.data[i, j], o2.data)
+            np.testing.assert_array_equal(w.data[i, j], w2.data)
+            only_weights = dg.attention_weights(t(q[i, j]), t(k[i, j]))
+            np.testing.assert_array_equal(w2.data, only_weights.data)
+
+
 def test_attention_output_in_convex_hull_of_values():
     rng = np.random.default_rng(5)
     for _ in range(20):
@@ -183,6 +197,23 @@ def test_bce_batch_matches_scalar_oracle():
     assert loss.item() == pytest.approx(0.16425203348601802, abs=1e-12)
 
 
+def test_bce_gradient_is_zero_at_and_beyond_the_clip():
+    p = t([0.0, dg.BCE_EPS, 1.0 - dg.BCE_EPS, 1.0, -0.5, 1.5, 0.3, 0.8], rg=True)
+    y = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
+    dg.backward(dg.bce_loss(p, y))
+    np.testing.assert_array_equal(p.grad[:6], 0.0)
+    assert np.all(p.grad[6:] != 0.0)
+    # beyond the clip by more than the step, central differences read 0 too
+    q = t([-0.5, 0.3, 1.5, 0.8, 0.05, 0.97], rg=True)
+    labels = np.array([1.0, 1.0, 0.0, 0.0, 0.0, 1.0])
+    assert dg.grad_check(lambda: dg.bce_loss(q, labels), {"q": q}) <= 1e-5
+
+
+def test_bce_casts_labels_to_probability_dtype():
+    p = dg.raw_tensor(np.array([0.9, 0.2], dtype=np.float32))
+    assert dg.bce_loss(p, np.array([1.0, 0.0])).data.dtype == np.float32
+
+
 def test_bce_rejects_bad_labels():
     with pytest.raises(DataError):
         dg.bce_loss(t([0.5]), np.array([0.5]))
@@ -190,6 +221,23 @@ def test_bce_rejects_bad_labels():
 
 # ---------------------------------------------------------------------------
 # backward
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_values_match_where_formula_byte_for_byte(dtype):
+    x = np.random.default_rng(12).normal(scale=20.0, size=(512, 300)).astype(dtype)
+    x[0, :6] = [0.0, -0.0, 1e30, -1e30, 88.0, -88.0]
+    e = np.exp(-np.abs(x))
+    expected = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    got = dg._sigmoid_values(x)
+    assert got.dtype == dtype and got.tobytes() == expected.tobytes()
+    assert dg._sigmoid_values(x[1, 0]).tobytes() == expected[1, 0].tobytes()
+
+
+@pytest.mark.parametrize("z", [-800.0, -3.5, -0.0, 0.0, 2.25, 800.0])
+def test_scalar_sigmoid_matches_array_form(z):
+    assert dg._sigmoid_scalar(z) == pytest.approx(dg._sigmoid_values(np.array([z]))[0],
+                                                  rel=1e-15, abs=0.0)
+
 
 def test_backward_sum_gives_ones():
     w = t(np.arange(6.0).reshape(2, 3), rg=True)
@@ -244,10 +292,17 @@ def test_grad_check_requires_f64():
             dg.grad_check(lambda: dg.reduce_sum(w), {"w": w})
 
 
+def test_grad_check_refuses_f32_parameters_under_f64_precision():
+    w = dg.raw_tensor(np.array([0.3, -1.2], dtype=np.float32), requires_grad=True)
+    with pytest.raises(ConfigError, match="float64"):
+        dg.grad_check(lambda: dg.reduce_sum(dg.tanh(dg.mul(w, w))), {"w": w})
+
+
 PRIMITIVE_CASES = [
     "matmul", "add_bias", "mul", "tanh", "relu", "sigmoid",
-    "softmax", "gather", "mean_axis", "concat", "cosine", "bce", "attention",
+    "softmax", "gather", "mean_axis", "cosine", "bce", "attention",
     "matmul_batched", "matmul_broadcast", "transpose_last_two", "gather_3d",
+    "attention_batched",
 ]
 
 
@@ -282,9 +337,6 @@ def test_grad_check_per_primitive(case):
     elif case == "mean_axis":
         f = lambda: dg.reduce_sum(dg.mul(dg.reduce_mean(a, axis=0), dg.reduce_mean(a, axis=0)))
         params = {"a": a}
-    elif case == "concat":
-        f = lambda: dg.reduce_sum(dg.tanh(dg.concat([a, v], axis=1)))
-        params = {"a": a, "v": v}
     elif case == "cosine":
         x = t(rng.normal(size=5), rg=True)
         y = t(rng.normal(size=5), rg=True)
@@ -319,6 +371,13 @@ def test_grad_check_per_primitive(case):
         x = t(rng.normal(size=(3, 2, 4)), rg=True)
         f = lambda: dg.reduce_sum(dg.tanh(dg.gather_rows(x, np.array([2, 0, 2]))))
         params = {"x": x}
+    elif case == "attention_batched":
+        # one query per leading index, broadcast over the second axis of K, V
+        q = t(rng.normal(size=(2, 1, 1, 4)), rg=True)
+        k = t(rng.normal(size=(2, 3, 5, 4)), rg=True)
+        vv = t(rng.normal(size=(2, 3, 5, 3)), rg=True)
+        f = lambda: dg.reduce_sum(dg.tanh(dg.scaled_dot_attention(q, k, vv)[0]))
+        params = {"q": q, "k": k, "v": vv}
 
     assert dg.grad_check(f, params) <= 1e-5
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -32,6 +33,13 @@ def expert_names(params):
 def expert_slice(params, layer, e):
     """Expert ``e``'s (w [in, out], b [out]) of a stacked layer."""
     return params[f"experts.{layer}.w"].data[e], params[f"experts.{layer}.b"].data[e, 0]
+
+
+def field_rows(array, schema, fname):
+    """Field ``fname``'s rows of a stacked ``user_embed`` array, found through its offset."""
+    j = schema.field_names.index(fname)
+    start = schema.field_offsets[j]
+    return array[start:start + schema.user_fields[j][1]]
 
 
 def one_example(schema, field_values=(1, 2, 3), tags=(1,)):
@@ -97,15 +105,16 @@ def test_embed_single_field_is_table_row(small_cfg):
     params = make_params(small_cfg)
     out = M.embed_user_fields(one_example(small_cfg.schema), params, small_cfg.schema)
     assert out.shape == (1, 3, 8)
-    np.testing.assert_array_equal(out.data[0, 0], params["user_embed.color"].data[1])
-    np.testing.assert_array_equal(out.data[0, 1], params["user_embed.size"].data[2])
+    table = params["user_embed"].data
+    np.testing.assert_array_equal(out.data[0, 0], field_rows(table, small_cfg.schema, "color")[1])
+    np.testing.assert_array_equal(out.data[0, 1], field_rows(table, small_cfg.schema, "size")[2])
 
 
 def test_embed_multivalued_field_mean_pools(small_cfg):
     params = make_params(small_cfg)
     batch = one_example(small_cfg.schema, ((0, 2), 1, 3))
     out = M.embed_user_fields(batch, params, small_cfg.schema)
-    table = params["user_embed.color"].data
+    table = field_rows(params["user_embed"].data, small_cfg.schema, "color")
     np.testing.assert_allclose(out.data[0, 0], (table[0] + table[2]) / 2, atol=1e-15)
 
 
@@ -124,12 +133,12 @@ def test_embedding_gradient_touches_only_looked_up_rows(small_cfg):
 
     dg.zero_grads(params)
     dg.backward(loss())
-    table = params["user_embed.color"]
-    assert np.any(table.grad[1] != 0.0)
+    grad = field_rows(params["user_embed"].grad, small_cfg.schema, "color")
+    assert np.any(grad[1] != 0.0)
     for untouched in (0, 2, 3, 4):
-        np.testing.assert_array_equal(table.grad[untouched], 0.0)
+        np.testing.assert_array_equal(grad[untouched], 0.0)
     # finite differences agree that untouched rows have zero gradient
-    flat = table.data
+    flat = field_rows(params["user_embed"].data, small_cfg.schema, "color")
     orig = flat[0, 0]
     with dg.no_grad():
         flat[0, 0] = orig + 1e-4
@@ -372,8 +381,9 @@ def test_gate_weights_ignore_user_features(small_cfg, small_batch_examples):
     params = make_params(small_cfg)
     batch = M.encode_examples(small_batch_examples, small_cfg.schema)
     w_before = M.mvke_forward(batch, small_cfg, params)[Task.CTR][1].data.copy()
-    for name in ("user_embed.color", "user_embed.size", "user_embed.habits"):
-        params[name].data += np.random.default_rng(9).normal(size=params[name].data.shape)
+    for fname in ("color", "size", "habits"):
+        table = field_rows(params["user_embed"].data, small_cfg.schema, fname)
+        table += np.random.default_rng(9).normal(size=table.shape)
     w_after = M.mvke_forward(batch, small_cfg, params)[Task.CTR][1].data
     np.testing.assert_array_equal(w_before, w_after)
 
@@ -417,7 +427,7 @@ def test_single_expert_loss_gradient_check(small_cfg, small_batch_examples):
     params = make_params(small_cfg)
     rng = np.random.default_rng(10)
     for fname, _ in small_cfg.schema.user_fields:
-        table = params[f"user_embed.{fname}"].data
+        table = field_rows(params["user_embed"].data, small_cfg.schema, fname)
         table[...] = rng.normal(size=table.shape)
     batch = M.encode_examples(small_batch_examples, small_cfg.schema)
     k = small_cfg.routing.n_experts
@@ -430,7 +440,7 @@ def test_single_expert_loss_gradient_check(small_cfg, small_batch_examples):
 
     subset = {name: params[name] for name in
               (*expert_names(params), "virtual_kernels", "tag_tower.ctr.proj.w",
-               "user_embed.color", "temperature.ctr")}
+               "user_embed", "temperature.ctr")}
     assert dg.grad_check(loss, subset) <= 1e-5
 
 
@@ -455,7 +465,8 @@ def test_two_tower_identity_mlp_returns_field_embedding():
     params["user_mlp.b2"].data[...] = 0.0
     batch = M.encode_examples([FakeExample((2,), (1,), 0, 0)], schema)
     emb = M.two_tower_user_embedding(batch, cfg, params)
-    np.testing.assert_allclose(emb.data[0], params["user_embed.only"].data[2], atol=1e-12)
+    only = field_rows(params["user_embed"].data, schema, "only")
+    np.testing.assert_allclose(emb.data[0], only[2], atol=1e-12)
 
 
 def test_two_tower_matches_oracle_on_batch(small_cfg, small_batch_examples):
@@ -464,7 +475,8 @@ def test_two_tower_matches_oracle_on_batch(small_cfg, small_batch_examples):
     got = M.two_tower_forward(batch, small_cfg, params, Task.CVR).data
 
     p = {k: v.data for k, v in params.items()}
-    tables = [p["user_embed.color"], p["user_embed.size"], p["user_embed.habits"]]
+    tables = [field_rows(p["user_embed"], small_cfg.schema, fname)
+              for fname in ("color", "size", "habits")]
     for i, ex in enumerate(small_batch_examples[:2]):
         rows = []
         for j, raw in enumerate(ex.field_values):
@@ -492,3 +504,37 @@ def test_save_and_load_model_round_trip(tmp_path, small_cfg, small_batch_example
     again = M.load_model(tmp_path / "ckpt")
     np.testing.assert_array_equal(before, again.predict(batch, Task.CTR))
     assert again.cfg == small_cfg
+
+
+def test_save_model_records_the_parameters_precision(tmp_path, small_cfg):
+    with dg.precision("f32"):
+        model = M.MvkeModel(small_cfg, seed=1)
+    M.save_model(model, tmp_path / "ckpt")  # saved under the f64 default
+    meta = json.loads((tmp_path / "ckpt" / "model.json").read_text())
+    assert meta["precision"] == "f32"
+    again = M.load_model(tmp_path / "ckpt")
+    assert all(t.data.dtype == np.float32 for t in again.params.values())
+
+
+def test_load_model_refuses_precision_other_than_the_parameters(tmp_path, small_cfg):
+    M.save_model(M.MvkeModel(small_cfg, seed=1), tmp_path / "ckpt")
+    meta_path = tmp_path / "ckpt" / "model.json"
+    meta = json.loads(meta_path.read_text())
+    assert meta["precision"] == "f64"
+    meta_path.write_text(json.dumps({**meta, "precision": "f32"}))
+    with pytest.raises(DataError, match="model.json") as err:
+        M.load_model(tmp_path / "ckpt")
+    assert "params.jsonl" in str(err.value)
+
+
+def test_user_fields_share_one_table_at_field_offsets(small_cfg):
+    schema = small_cfg.schema
+    assert schema.field_offsets == (0, 5, 9)
+    params = make_params(small_cfg)
+    assert params["user_embed"].shape == (16, 8)
+    assert not any(name.startswith("user_embed.") for name in params)
+    # drawn field by field from one stream, so the rows follow the old tables
+    rng = np.random.default_rng(0)
+    for fname, vocab in schema.user_fields:
+        np.testing.assert_array_equal(field_rows(params["user_embed"].data, schema, fname),
+                                      rng.uniform(-0.05, 0.05, size=(vocab, 8)))
