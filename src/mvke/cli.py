@@ -24,7 +24,8 @@ from . import evaluation as eval_mod
 from . import serve as serve_mod
 from .errors import ConfigError, DataError, MvkeError, NumericsError
 from .model import (ExpertRouting, ModelConfig, MvkeModel, Task, TwoTowerModel,
-                    five_expert_routing, load_model, save_model, split_routing)
+                    five_expert_routing, load_model, model_precision, save_model,
+                    split_routing)
 from .train import TrainConfig, fit
 
 log = logging.getLogger("mvke")
@@ -212,6 +213,13 @@ def build_model(resolved: dict):
     return MvkeModel(cfg, seed=seed)
 
 
+def _load_checkpoint(args):
+    """The model under ``--ckpt``, with the global precision set to the one it records."""
+    model = load_model(Path(args.ckpt))
+    dg.set_precision(model_precision(model))
+    return model
+
+
 def cmd_train(args) -> int:
     resolved = resolve_config(args.config, args)
     out = _prepare_out(resolved, args.out)
@@ -235,9 +243,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     resolved = resolve_config(args.config, args)
     out = _prepare_out(resolved, args.out)
-    dg.set_precision(resolved["precision"])
     _, test_ds = _load_datasets(args.data)
-    model = load_model(Path(args.ckpt))
+    model = _load_checkpoint(args)
     report = eval_mod.evaluate(model, test_ds, model_id=resolved["mode"],
                                seed=resolved["seed"])
     eval_mod.write_csv(report.rows(), out / "report.csv",
@@ -264,8 +271,7 @@ def cmd_sweep(args) -> int:
 def cmd_export_attention(args) -> int:
     resolved = resolve_config(args.config, args)
     out = _prepare_out(resolved, args.out)
-    dg.set_precision(resolved["precision"])
-    model = load_model(Path(args.ckpt))
+    model = _load_checkpoint(args)
     if model.kind != "mvke":
         raise ConfigError("gate-weight export needs a mixture checkpoint")
     rows = eval_mod.export_gate_weights(model)
@@ -280,9 +286,8 @@ def cmd_predict(args) -> int:
     if top_n < 1:
         raise ConfigError("topk must be >= 1")
     out = _prepare_out(resolved, args.out)
-    dg.set_precision(resolved["precision"])
     _, test_ds = _load_datasets(args.data)
-    model = load_model(Path(args.ckpt))
+    model = _load_checkpoint(args)
     if model.kind != "mvke":
         raise ConfigError("the cached prediction path needs a mixture checkpoint")
     users = data_mod.user_roster(test_ds)
@@ -301,9 +306,8 @@ def cmd_predict(args) -> int:
 def cmd_bench(args) -> int:
     resolved = resolve_config(args.config, args)
     out = _prepare_out(resolved, args.out)
-    dg.set_precision(resolved["precision"])
     _, test_ds = _load_datasets(args.data)
-    model = load_model(Path(args.ckpt))
+    model = _load_checkpoint(args)
     if model.kind != "mvke":
         raise ConfigError("bench needs a mixture checkpoint")
     users = data_mod.user_roster(test_ds)

@@ -1,10 +1,17 @@
 """Dense tensors with reverse-mode gradients.
 
 A small numpy-backed engine. Its primitives, each one graph node with a
-hand-written gradient, are ``add``, ``mul``, ``matmul``, ``transpose``, ``reshape``,
-``reduce_sum``, ``reduce_mean``, ``tanh``, ``relu``, ``sigmoid``, ``softmax``,
-``gather_rows``, ``cosine_similarity`` and ``bce_loss``; attention is composed of
-them. Plus a finite-difference gradient checker and a line-JSON checkpoint format.
+hand-written gradient, are ``add``, ``mul``, ``matmul``, ``affine`` (``x @ W + b``),
+``transpose``, ``reshape``, ``reduce_sum``, ``reduce_mean``, ``tanh``, ``relu``,
+``sigmoid``, ``softmax``, ``gather_rows``, ``cosine_similarity`` and ``bce_loss``;
+attention is composed of them. Plus a finite-difference gradient checker and a
+line-JSON checkpoint format.
+
+Graph nodes do not scan their outputs for NaN or infinity. Non-finite values
+are caught, as ``NumericsError`` unless noted, where they enter or leave: the
+``Tensor`` constructor, checkpoint decode in ``load_params`` (``DataError``), the
+training loss, the gradients and parameters in the optimizer, ``grad_check``'s
+loss, and the inference outputs of the model classes (see ``require_finite``).
 
 Model parameters are plain ``dict[str, Tensor]`` maps; the name is a
 dot-separated path (for example ``"experts.q_proj.w"``, which stacks the
@@ -137,10 +144,14 @@ def raw_tensor(arr: np.ndarray, requires_grad: bool = False) -> Tensor:
     return Tensor._wrap(arr, requires_grad, (), None)
 
 
-def _node(arr: np.ndarray, op: str, parents: tuple[Tensor, ...],
-          grad_fn: Callable) -> Tensor:
-    if not np.all(np.isfinite(arr)):
-        raise NumericsError(f"non-finite values produced by {op}")
+def require_finite(arr: np.ndarray, what: str) -> np.ndarray:
+    """``arr`` itself, or NumericsError naming ``what`` if it holds NaN or infinity."""
+    if not np.isfinite(arr).all():
+        raise NumericsError(f"non-finite values in {what}")
+    return arr
+
+
+def _node(arr: np.ndarray, parents: tuple[Tensor, ...], grad_fn: Callable) -> Tensor:
     if _grad_enabled and any(p.requires_grad for p in parents):
         return Tensor._wrap(arr, True, parents, grad_fn)
     return Tensor._wrap(arr, False, (), None)
@@ -167,7 +178,7 @@ def add(a, b) -> Tensor:
     def grad_fn(g):
         return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
 
-    return _node(out, "add", (a, b), grad_fn)
+    return _node(out, (a, b), grad_fn)
 
 
 def mul(a, b) -> Tensor:
@@ -175,10 +186,33 @@ def mul(a, b) -> Tensor:
     out = a.data * b.data
 
     def grad_fn(g):
-        return (_unbroadcast(g * b.data, a.data.shape),
-                _unbroadcast(g * a.data, b.data.shape))
+        return (_unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None)
 
-    return _node(out, "mul", (a, b), grad_fn)
+    return _node(out, (a, b), grad_fn)
+
+
+def _matmul_values(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x @ y``; an inner size of 1 makes it an outer product, taken as a broadcast multiply.
+
+    Each entry of an outer product is a single product, so both forms give
+    the same values; the multiply avoids one tiny matmul per leading index.
+    """
+    return x * y if x.shape[-1] == 1 else x @ y
+
+
+def _matmul_grads(a: Tensor, b: Tensor, g: np.ndarray) -> tuple:
+    """Gradients of ``a @ b`` with respect to the operands that require one, else None."""
+    ga = (_unbroadcast(_matmul_values(g, np.swapaxes(b.data, -1, -2)), a.data.shape)
+          if a.requires_grad else None)
+    gb = (_unbroadcast(_matmul_values(np.swapaxes(a.data, -1, -2), g), b.data.shape)
+          if b.requires_grad else None)
+    return ga, gb
+
+
+def _check_matmul(op: str, a: Tensor, b: Tensor) -> None:
+    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
+        raise ConfigError(f"{op} shape mismatch: {a.shape} @ {b.shape}")
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -188,15 +222,34 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     of ``b`` to the same ``a``; gradients sum back over broadcast axes.
     """
     a, b = as_tensor(a), as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
-        raise ConfigError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    out = a.data @ b.data
+    _check_matmul("matmul", a, b)
+    out = _matmul_values(a.data, b.data)
 
     def grad_fn(g):
-        return (_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape),
-                _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+        return _matmul_grads(a, b, g)
 
-    return _node(out, "matmul", (a, b), grad_fn)
+    return _node(out, (a, b), grad_fn)
+
+
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` as one node; ``x @ w`` broadcasts as in ``matmul``.
+
+    ``b`` must broadcast to the shape of ``x @ w``: ``[q]`` for one ``[p, q]``
+    matrix, ``[k, 1, q]`` for a stack ``[k, p, q]`` of them.
+    """
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    _check_matmul("affine", x, w)
+    out = x.data @ w.data
+    try:
+        out += b.data
+    except ValueError as e:
+        raise ConfigError(f"affine bias {b.shape} does not broadcast to {out.shape}") from e
+
+    def grad_fn(g):
+        return (*_matmul_grads(x, w, g),
+                _unbroadcast(g, b.data.shape) if b.requires_grad else None)
+
+    return _node(out, (x, w, b), grad_fn)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -208,7 +261,7 @@ def transpose(a: Tensor) -> Tensor:
     def grad_fn(g):
         return (np.swapaxes(g, -1, -2),)
 
-    return _node(np.swapaxes(a.data, -1, -2), "transpose", (a,), grad_fn)
+    return _node(np.swapaxes(a.data, -1, -2), (a,), grad_fn)
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
@@ -219,7 +272,7 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     def grad_fn(g):
         return (g.reshape(a.data.shape),)
 
-    return _node(out, "reshape", (a,), grad_fn)
+    return _node(out, (a,), grad_fn)
 
 
 def reduce_sum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
@@ -231,7 +284,7 @@ def reduce_sum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Te
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.data.shape),)
 
-    return _node(np.asarray(out), "reduce_sum", (a,), grad_fn)
+    return _node(np.asarray(out), (a,), grad_fn)
 
 
 def reduce_mean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
@@ -244,7 +297,7 @@ def reduce_mean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> T
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.data.shape) / count,)
 
-    return _node(np.asarray(out), "reduce_mean", (a,), grad_fn)
+    return _node(np.asarray(out), (a,), grad_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +309,12 @@ def tanh(a: Tensor) -> Tensor:
     out = np.tanh(a.data)
 
     def grad_fn(g):
-        return (g * (1.0 - out * out),)
+        dx = np.multiply(out, out)
+        np.subtract(1.0, dx, out=dx)
+        dx *= g
+        return (dx,)
 
-    return _node(out, "tanh", (a,), grad_fn)
+    return _node(out, (a,), grad_fn)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -268,7 +324,7 @@ def relu(a: Tensor) -> Tensor:
     def grad_fn(g):
         return (g * (a.data > 0),)
 
-    return _node(out, "relu", (a,), grad_fn)
+    return _node(out, (a,), grad_fn)
 
 
 def _sigmoid_values(x: np.ndarray) -> np.ndarray:
@@ -297,7 +353,7 @@ def sigmoid(a: Tensor) -> Tensor:
     def grad_fn(g):
         return (g * out * (1.0 - out),)
 
-    return _node(out, "sigmoid", (a,), grad_fn)
+    return _node(out, (a,), grad_fn)
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -311,7 +367,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
         inner = (g * out).sum(axis=axis, keepdims=True)
         return ((g - inner) * out,)
 
-    return _node(out, "softmax", (a,), grad_fn)
+    return _node(out, (a,), grad_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +379,7 @@ def gather_rows(table: Tensor, indices) -> Tensor:
 
     ``table`` has at least two axes and ``indices`` any shape; the result
     has shape ``indices.shape + table.shape[1:]``. Repeated indices add
-    their gradients.
+    their gradients. Ids ``0 .. rows - 1`` in order return ``table`` itself.
     """
     table = as_tensor(table)
     if table.ndim < 2:
@@ -331,17 +387,29 @@ def gather_rows(table: Tensor, indices) -> Tensor:
     idx = np.asarray(indices)
     if not np.issubdtype(idx.dtype, np.integer):
         raise DataError("gather_rows indices must be integers")
-    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
-        raise DataError(
-            f"gather_rows index out of range for table with {table.shape[0]} rows")
+    rows = table.shape[0]
+    if idx.size and (idx.min() < 0 or idx.max() >= rows):
+        raise DataError(f"gather_rows index out of range for table with {rows} rows")
+    if idx.shape == (rows,) and np.array_equal(idx, np.arange(rows)):
+        return table
     out = table.data[idx]
 
     def grad_fn(g):
+        flat = idx.reshape(-1)
+        g = g.reshape(len(flat), *table.data.shape[1:])
         dt = np.zeros_like(table.data)
-        np.add.at(dt, idx.reshape(-1), g.reshape(-1, *table.data.shape[1:]))
+        # ids in the narrowest unsigned type that holds them sort by radix
+        order = np.argsort(flat.astype(np.min_scalar_type(rows - 1)), kind="stable")
+        ids = flat[order]
+        new_id = ids[1:] != ids[:-1]
+        if new_id.all():
+            dt[flat] = g
+        else:
+            starts = np.flatnonzero(np.concatenate(([True], new_id)))
+            dt[ids[starts]] = np.add.reduceat(np.take(g, order, axis=0), starts, axis=0)
         return (dt,)
 
-    return _node(out, "gather_rows", (table,), grad_fn)
+    return _node(out, (table,), grad_fn)
 
 
 def cosine_similarity(a: Tensor, b: Tensor) -> Tensor:
@@ -383,7 +451,7 @@ def cosine_similarity(a: Tensor, b: Tensor) -> Tensor:
         db -= gv * cosv * bv / (nb_c * nb_c).reshape(-1, 1) * (~clamped_b).reshape(-1, 1)
         return da.reshape(a.shape), db.reshape(b.shape)
 
-    return _node(out, "cosine_similarity", (a, b), grad_fn)
+    return _node(out, (a, b), grad_fn)
 
 
 def attention_weights(q: Tensor, k: Tensor) -> Tensor:
@@ -420,7 +488,7 @@ def bce_loss(p: Tensor, y) -> Tensor:
         inside = (p.data > BCE_EPS) & (p.data < 1.0 - BCE_EPS)
         return (g * inside * (pc - yd) / (pc * (1.0 - pc) * p.size),)
 
-    return _node(np.asarray(out), "bce_loss", (p,), grad_fn)
+    return _node(np.asarray(out), (p,), grad_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +541,12 @@ def zero_grads(params: dict[str, Tensor]) -> None:
 # gradient checking
 
 
+def _checked_loss(f: Callable[[], Tensor]) -> Tensor:
+    loss = f()
+    require_finite(loss.data, "the grad_check loss")
+    return loss
+
+
 def grad_check(f: Callable[[], Tensor], params: dict[str, Tensor],
                h: float = 1e-5, max_entries: int | None = None,
                seed: int = 0) -> float:
@@ -481,13 +555,13 @@ def grad_check(f: Callable[[], Tensor], params: dict[str, Tensor],
     ``f`` must be a deterministic closure over ``params`` returning a
     scalar loss. Returns the maximum relative error over all checked
     entries. Requires float64 parameters; ``max_entries`` subsamples large
-    parameter tensors.
+    parameter tensors. A non-finite loss raises NumericsError.
     """
     not_f64 = sorted(name for name, t in params.items() if t.data.dtype != np.float64)
     if not_f64:
         raise ConfigError(f"grad_check requires float64 parameters, got {not_f64[:5]}")
     zero_grads(params)
-    backward(f())
+    backward(_checked_loss(f))
     analytic = {
         name: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data))
         for name, t in params.items()
@@ -508,9 +582,9 @@ def grad_check(f: Callable[[], Tensor], params: dict[str, Tensor],
             try:
                 with no_grad():
                     flat[i] = orig + h
-                    up = float(f().data)
+                    up = _checked_loss(f).item()
                     flat[i] = orig - h
-                    down = float(f().data)
+                    down = _checked_loss(f).item()
             except NumericsError as e:
                 raise NumericsError(
                     f"non-finite intermediate while checking {name!r}: {e}") from e
@@ -578,7 +652,10 @@ def save_params(params: dict[str, Tensor], path) -> None:
 
 
 def load_params(path) -> dict[str, Tensor]:
-    """Parameters from ``save_params``; DataError naming the file and line."""
+    """Parameters from ``save_params``; DataError naming the file and line.
+
+    A parameter holding NaN or infinity is refused the same way, naming it.
+    """
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except (OSError, UnicodeDecodeError) as e:
@@ -592,7 +669,10 @@ def load_params(path) -> dict[str, Tensor]:
             name = record["name"]
             if not isinstance(name, str) or name in params:
                 raise DataError(f"duplicate or non-string parameter name {name!r}")
-            params[name] = raw_tensor(decode_array(record), requires_grad=True)
+            values = decode_array(record)
+            if not np.isfinite(values).all():
+                raise DataError(f"parameter {name!r} holds non-finite values")
+            params[name] = raw_tensor(values, requires_grad=True)
         except (KeyError, TypeError, ValueError, DataError) as e:
             raise DataError(f"{path}: malformed checkpoint line {lineno}: {e}") from e
     return params

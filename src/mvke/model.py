@@ -20,8 +20,9 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -208,13 +209,47 @@ class EncodedBatch:
         return self.clicks if task == Task.CTR else self.convs
 
 
-def _pad_ids(values: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
-    width = max((len(v) for v in values), default=0)
-    idx = np.zeros((len(values), width), dtype=np.int64)
-    weight = np.zeros((len(values), width), dtype=np.float64)
-    for r, ids in enumerate(values):
-        idx[r, :len(ids)] = ids
-        weight[r, :len(ids)] = 1.0 / len(ids)
+def _as_ids(value) -> tuple:
+    """A field value as a tuple of ids: a tuple or list as is, anything else as one id."""
+    return tuple(value) if isinstance(value, (tuple, list)) else (int(value),)
+
+
+def _pack_ids(values: list, vocab: int, empty_message: str,
+              bad_message: Callable[[int], str]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row id counts ``[B]`` and all ids in row order, each checked against ``[0, vocab)``.
+
+    A value is one id or a tuple or list of ids. DataError for the first row
+    that is empty (``empty_message``) or holds an id outside the vocab
+    (``bad_message(id)``).
+    """
+    n = len(values)
+    try:  # one id per row, read without a tuple per row
+        lengths, flat = np.ones(n, dtype=np.int64), np.fromiter(values, dtype=np.int64, count=n)
+    except (OverflowError, TypeError, ValueError):
+        rows = [_as_ids(v) for v in values]
+        lengths = np.fromiter(map(len, rows), dtype=np.int64, count=n)
+        try:
+            flat = np.fromiter(chain.from_iterable(rows), dtype=np.int64,
+                               count=int(lengths.sum()))
+        except (OverflowError, TypeError, ValueError):
+            flat = None
+    if flat is None or not (lengths.all() and ((flat >= 0) & (flat < vocab)).all()):
+        for ids in map(_as_ids, values):  # only a failing batch is scanned row by row
+            if not ids:
+                raise DataError(empty_message)
+            for v in ids:
+                if not 0 <= v < vocab:
+                    raise DataError(bad_message(v))
+    return lengths, flat
+
+
+def _padded(lengths: np.ndarray, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``idx [B, c]`` and mean-pooling ``weight [B, c]`` of rows of ``lengths`` ids each."""
+    filled = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    idx = np.zeros(filled.shape, dtype=np.int64)
+    weight = np.zeros(filled.shape, dtype=np.float64)
+    idx[filled] = flat
+    weight[filled] = np.repeat(1.0 / lengths, lengths)
     return idx, weight
 
 
@@ -228,36 +263,23 @@ def encode_examples(examples: Sequence, schema: FieldSchema) -> EncodedBatch:
         raise ConfigError("cannot encode an empty batch")
     field_idx, field_weight = [], []
     for j, (fname, vocab) in enumerate(schema.user_fields):
-        per_row: list[tuple[int, ...]] = []
-        for ex in examples:
-            raw = ex.field_values[j]
-            ids = tuple(raw) if isinstance(raw, (tuple, list)) else (int(raw),)
-            if not ids:
-                raise DataError(f"field {fname!r} has no values")
-            for v in ids:
-                if not 0 <= v < vocab:
-                    raise DataError(
-                        f"field {fname!r}: id {v} out of vocab range [0, {vocab})")
-            per_row.append(ids)
-        idx, w = _pad_ids(per_row)
+        lengths, flat = _pack_ids(
+            [ex.field_values[j] for ex in examples], vocab, f"field {fname!r} has no values",
+            lambda v: f"field {fname!r}: id {v} out of vocab range [0, {vocab})")
+        idx, w = _padded(lengths, flat)
         field_idx.append(idx)
         field_weight.append(w)
 
-    tag_rows: list[tuple[int, ...]] = []
-    for ex in examples:
-        tags = tuple(sorted(set(ex.tag_set)))
-        if not tags:
-            raise DataError("example has an empty tag set")
-        for v in tags:
-            if not 0 <= v < schema.tag_vocab_size:
-                raise DataError(f"tag id {v} out of vocab range [0, {schema.tag_vocab_size})")
-        tag_rows.append(tags)
-    tag_idx, tag_weight = _pad_ids(tag_rows)
+    tags = schema.tag_vocab_size
+    lengths, flat = _pack_ids(
+        [tuple(sorted(set(ex.tag_set))) for ex in examples], tags,
+        "example has an empty tag set", lambda v: f"tag id {v} out of vocab range [0, {tags})")
+    tag_idx, tag_weight = _padded(lengths, flat)
 
-    clicks = np.array([float(ex.click_label) for ex in examples])
-    convs = np.array([float(ex.conversion_label) for ex in examples])
-    return EncodedBatch(len(examples), field_idx, field_weight,
-                        tag_idx, tag_weight, clicks, convs)
+    n = len(examples)
+    clicks = np.fromiter((ex.click_label for ex in examples), dtype=np.float64, count=n)
+    convs = np.fromiter((ex.conversion_label for ex in examples), dtype=np.float64, count=n)
+    return EncodedBatch(n, field_idx, field_weight, tag_idx, tag_weight, clicks, convs)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +376,7 @@ def count_params(params: dict[str, Tensor]) -> int:
 
 
 def _affine(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
-    return dg.add(dg.matmul(x, params[f"{prefix}.w"]), params[f"{prefix}.b"])
+    return dg.affine(x, params[f"{prefix}.w"], params[f"{prefix}.b"])
 
 
 def _pooled_lookup(table: Tensor, idx: Sequence[np.ndarray], weight: Sequence[np.ndarray],
@@ -489,9 +511,8 @@ def two_tower_user_embedding(batch: EncodedBatch, cfg: ModelConfig,
     """Baseline user tower [B, d]: mean field embedding through a 2-layer MLP."""
     fields = embed_user_fields(batch, params, cfg.schema)
     pooled = dg.reduce_mean(fields, axis=1)
-    hidden = dg.relu(dg.add(dg.matmul(pooled, params["user_mlp.w1"]),
-                            params["user_mlp.b1"]))
-    return dg.add(dg.matmul(hidden, params["user_mlp.w2"]), params["user_mlp.b2"])
+    hidden = dg.relu(dg.affine(pooled, params["user_mlp.w1"], params["user_mlp.b1"]))
+    return dg.affine(hidden, params["user_mlp.w2"], params["user_mlp.b2"])
 
 
 def two_tower_forward(batch: EncodedBatch, cfg: ModelConfig,
@@ -533,7 +554,7 @@ class MvkeModel:
     def predict(self, batch: EncodedBatch, task: Task) -> np.ndarray:
         with dg.no_grad():
             out = self.forward(batch, (task,))
-        return out[task][0].data.copy()
+        return dg.require_finite(out[task][0].data.copy(), f"{task.value} predictions")
 
     def user_expert_outputs(self, batch: EncodedBatch) -> np.ndarray:
         """All expert outputs for a batch of users, shape [B, k, d]."""
@@ -541,17 +562,19 @@ class MvkeModel:
         with dg.no_grad():
             fields = embed_user_fields(batch, self.params, self.cfg.schema)
             outs = vke_forward(fields, range(self.cfg.routing.n_experts), self.params)
-        return outs.data.transpose(1, 0, 2)
+        return dg.require_finite(outs.data, "expert outputs").transpose(1, 0, 2)
 
     def tag_side(self, task: Task, tag_ids: Sequence[int]) -> tuple[np.ndarray, np.ndarray, float]:
         """Per-tag embeddings [T, d] and gate weights [T, n_task], plus tau."""
         self.counters["tag_tower"] += len(tag_ids)
-        idx, weight = _pad_ids([(int(t),) for t in tag_ids])
+        idx = np.array([int(t) for t in tag_ids], dtype=np.int64).reshape(-1, 1)
         with dg.no_grad():
-            emb = tag_tower(idx, weight, task, self.params)
+            emb = tag_tower(idx, np.ones(idx.shape), task, self.params)
             gates = gate_weights_for_tags(emb, task, self.params, self.cfg.routing)
         tau = float(self.params[f"temperature.{task.value}"].data)
-        return emb.data.copy(), gates.data.copy(), tau
+        what = f"{task.value} tag side"
+        return (dg.require_finite(emb.data.copy(), what),
+                dg.require_finite(gates.data.copy(), what), tau)
 
 
 class TwoTowerModel:
@@ -579,11 +602,17 @@ class TwoTowerModel:
         self.counters["user_tower"] += batch.size
         self.counters["tag_tower"] += batch.size
         with dg.no_grad():
-            return two_tower_forward(batch, self.cfg, self.params, task).data.copy()
+            out = two_tower_forward(batch, self.cfg, self.params, task)
+        return dg.require_finite(out.data.copy(), f"{task.value} predictions")
 
 
 # ---------------------------------------------------------------------------
 # checkpoint I/O (parameters + model identity)
+
+
+def model_precision(model) -> str:
+    """Precision name (``"f32"`` or ``"f64"``) of the model's parameters."""
+    return dg.dtype_name(next(iter(model.params.values())).data)
 
 
 def save_model(model, out_dir) -> None:
@@ -592,7 +621,7 @@ def save_model(model, out_dir) -> None:
     meta = {
         "kind": model.kind,
         "config": model.cfg.to_dict(),
-        "precision": dg.dtype_name(next(iter(model.params.values())).data),
+        "precision": model_precision(model),
     }
     if model.kind == "two_tower":
         meta["task"] = model.task.value

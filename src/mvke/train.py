@@ -36,6 +36,9 @@ class TrainConfig:
             raise ConfigError("learning_rate must not be negative")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
+        # Adam divides by sqrt(v) + eps, and v is 0 wherever no gradient arrived yet
+        if not self.eps > 0:
+            raise ConfigError("eps must be > 0")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
 
@@ -73,38 +76,64 @@ def two_tower_loss(batch: EncodedBatch, cfg: ModelConfig,
 
 
 class Adam:
-    """Standard Adam with bias correction; zeroes grads after each step."""
+    """Standard Adam with bias correction; zeroes grads after each step.
+
+    The constructor moves every parameter into one flat buffer and rebinds
+    each tensor's ``data`` to its named view of it, so a step is a few vector
+    ops over all parameters at once. A parameter without a gradient takes a
+    zero one; one that never gets a gradient (the other task's tower in a
+    single-task fit) keeps zero moments and never moves.
+    """
 
     def __init__(self, params: dict[str, Tensor], learning_rate: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.learning_rate = learning_rate
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
-        self.first_moment = {n: np.zeros_like(t.data) for n, t in params.items()}
-        self.second_moment = {n: np.zeros_like(t.data) for n, t in params.items()}
+        dtypes = {t.data.dtype for t in params.values()}
+        if len(dtypes) > 1:
+            raise ConfigError(f"Adam needs parameters of one dtype, got {sorted(map(str, dtypes))}")
+        self.flat = np.concatenate([t.data.reshape(-1) for t in params.values()])
+        self.grad = np.zeros_like(self.flat)
+        self.first_moment = np.zeros_like(self.flat)
+        self.second_moment = np.zeros_like(self.flat)
+        self.views: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        offset = 0
+        for name, tensor in params.items():
+            end = offset + tensor.size
+            tensor.data = self.flat[offset:end].reshape(tensor.shape)
+            self.views[name] = (tensor.data, self.grad[offset:end].reshape(tensor.shape))
+            offset = end
+
+    def _first_non_finite(self, part: int) -> str:
+        """Name of the first parameter whose data (``part`` 0) or gradient (1) is not finite."""
+        return next(name for name, arrays in self.views.items()
+                    if not np.isfinite(arrays[part]).all())
 
     def step(self, params: dict[str, Tensor]) -> None:
+        for name, tensor in params.items():
+            grad_view = self.views[name][1]
+            if tensor.grad is None:
+                grad_view.fill(0)
+            else:
+                grad_view[...] = tensor.grad
+            tensor.zero_grad()
+        grad = self.grad
+        if not np.isfinite(grad).all():
+            raise NumericsError(f"non-finite gradient for parameter {self._first_non_finite(1)!r}")
         self.step_count += 1
         t = self.step_count
         b1, b2 = self.beta1, self.beta2
-        for name, tensor in params.items():
-            grad = tensor.grad
-            if grad is None:
-                continue
-            if not np.all(np.isfinite(grad)):
-                raise NumericsError(f"non-finite gradient for parameter {name!r}")
-            m = self.first_moment[name]
-            v = self.second_moment[name]
-            m *= b1
-            m += (1 - b1) * grad
-            v *= b2
-            v += (1 - b2) * grad * grad
-            m_hat = m / (1 - b1 ** t)
-            v_hat = v / (1 - b2 ** t)
-            tensor.data -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
-            if not np.all(np.isfinite(tensor.data)):
-                raise NumericsError(f"parameter {name!r} became non-finite")
-            tensor.zero_grad()
+        m, v = self.first_moment, self.second_moment
+        m *= b1
+        m += (1 - b1) * grad
+        v *= b2
+        v += (1 - b2) * grad * grad
+        m_hat = m / (1 - b1 ** t)
+        v_hat = v / (1 - b2 ** t)
+        self.flat -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+        if not np.isfinite(self.flat).all():
+            raise NumericsError(f"parameter {self._first_non_finite(0)!r} became non-finite")
 
 
 def _model_loss(model, batch: EncodedBatch, mode: str) -> Tensor:
@@ -155,6 +184,7 @@ def fit(model, train_ds: Sequence, valid_ds: Sequence,
             batch = train_batch.slice(rows)
             try:
                 loss = _model_loss(model, batch, cfg.mode)
+                dg.require_finite(loss.data, "the training loss")
                 dg.zero_grads(model.params)
                 dg.backward(loss)
                 optimizer.step(model.params)

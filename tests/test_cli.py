@@ -196,6 +196,53 @@ def test_eval_on_broken_checkpoint_is_data_error(pipeline, tmp_path, capsys,
     assert names in capsys.readouterr().err
 
 
+def _nan_temperature(ckpt):
+    lines = (ckpt / "params.jsonl").read_text().splitlines()
+    for i, line in enumerate(lines):
+        record = json.loads(line)
+        if record["name"] == "temperature.ctr":
+            value = dg.decode_array(record)
+            value[...] = float("nan")
+            lines[i] = json.dumps({"name": record["name"], **dg.encode_array(value)})
+    (ckpt / "params.jsonl").write_text("\n".join(lines) + "\n")
+
+
+def test_eval_on_non_finite_checkpoint_is_data_error(pipeline, tmp_path, capsys):
+    _, cfg, data_dir, train_dir = pipeline
+    ckpt = _broken_checkpoint(train_dir, tmp_path, _nan_temperature)
+    code = main(["eval", "--config", cfg, "--data", str(data_dir),
+                 "--ckpt", str(ckpt), "--out", str(tmp_path / "e")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "params.jsonl" in err and "temperature.ctr" in err and "non-finite" in err
+
+
+def test_checkpoint_commands_compute_in_the_checkpoint_precision(pipeline, tmp_path):
+    """An f32 checkpoint run with ``--precision f64`` gives the f32 run's outputs."""
+    _, _, data_dir, _ = pipeline
+    cfg = write_config(tmp_path, {"precision": "f32"})
+    train_dir = tmp_path / "run32"
+    assert main(["train", "--config", cfg, "--data", str(data_dir),
+                 "--out", str(train_dir)]) == 0
+    ckpt = str(train_dir / "checkpoint")
+    outputs = {}
+    for flags in ([], ["--precision", "f64"]):
+        key = tuple(flags)
+        base = tmp_path / ("p64" if flags else "p32")
+        common = ["--config", cfg, "--ckpt", ckpt, *flags]
+        assert main(["predict", *common, "--data", str(data_dir),
+                     "--out", str(base / "predict")]) == 0
+        assert main(["eval", *common, "--data", str(data_dir),
+                     "--out", str(base / "eval")]) == 0
+        assert main(["export-attention", *common, "--out", str(base / "weights")]) == 0
+        index = json.loads((base / "predict" / "caches" / "user_cache.json").read_text())
+        assert index["dtype"] == "f32"
+        outputs[key] = [(base / sub).read_bytes() for sub in (
+            "predict/assignments.csv", "predict/caches/user_cache.bin",
+            "eval/report.csv", "weights/weights.csv")]
+    assert outputs[()] == outputs[("--precision", "f64")]
+
+
 def test_export_attention_rows_sum_to_one(pipeline, tmp_path):
     _, cfg, _, train_dir = pipeline
     out = tmp_path / "weights"

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -285,6 +286,17 @@ def test_grad_check_quadratic():
     assert err <= 1e-9
 
 
+def test_grad_check_non_finite_loss_is_numerics_error():
+    w = t([1e200], rg=True)  # w * w overflows to inf
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericsError):
+            dg.grad_check(lambda: dg.reduce_sum(dg.mul(w, w)), {"w": w})
+        # a loss that only overflows at a perturbed point is caught there too
+        v = t([1.0], rg=True)
+        with pytest.raises(NumericsError, match="'v'"):
+            dg.grad_check(lambda: dg.reduce_sum(dg.mul(v, 1e308)), {"v": v}, h=1.0)
+
+
 def test_grad_check_requires_f64():
     with dg.precision("f32"):
         w = dg.Tensor(np.array([1.0], dtype=np.float32), requires_grad=True)
@@ -302,7 +314,7 @@ PRIMITIVE_CASES = [
     "matmul", "add_bias", "mul", "tanh", "relu", "sigmoid",
     "softmax", "gather", "mean_axis", "cosine", "bce", "attention",
     "matmul_batched", "matmul_broadcast", "transpose_last_two", "gather_3d",
-    "attention_batched",
+    "attention_batched", "affine", "affine_stacked", "gather_repeated",
 ]
 
 
@@ -378,6 +390,20 @@ def test_grad_check_per_primitive(case):
         vv = t(rng.normal(size=(2, 3, 5, 3)), rg=True)
         f = lambda: dg.reduce_sum(dg.tanh(dg.scaled_dot_attention(q, k, vv)[0]))
         params = {"q": q, "k": k, "v": vv}
+    elif case == "affine":
+        bias = t(rng.normal(size=3), rg=True)
+        f = lambda: dg.reduce_sum(dg.tanh(dg.affine(a, b, bias)))
+        params = {"a": a, "b": b, "bias": bias}
+    elif case == "affine_stacked":
+        # one 2-d input through a stack of k = 2 weight matrices and biases
+        w = t(rng.normal(size=(2, 4, 5)), rg=True)
+        bias = t(rng.normal(size=(2, 1, 5)), rg=True)
+        f = lambda: dg.reduce_sum(dg.tanh(dg.affine(a, w, bias)))
+        params = {"a": a, "w": w, "bias": bias}
+    elif case == "gather_repeated":
+        idx = np.array([[2, 0, 2], [2, 1, 0], [0, 2, 2]])
+        f = lambda: dg.reduce_sum(dg.tanh(dg.mul(dg.gather_rows(a, idx), v.data[0])))
+        params = {"a": a}
 
     assert dg.grad_check(f, params) <= 1e-5
 
@@ -418,6 +444,73 @@ def test_gather_rows_untouched_rows_get_zero_grad():
     assert np.all(table.grad[2] == 0.0)
     assert np.all(table.grad[4] == 0.0)
     assert np.any(table.grad[1] != 0.0)
+
+
+@pytest.mark.parametrize("precision, dtype, rtol", [("f32", np.float32, 1e-5),
+                                                    ("f64", np.float64, 1e-12)])
+def test_gather_rows_grad_matches_add_at_reference(precision, dtype, rtol):
+    rng = np.random.default_rng(21)
+    with dg.precision(precision):
+        table = dg.Tensor(rng.normal(size=(40, 2, 3)), requires_grad=True)
+        idx = rng.integers(0, 30, size=(64, 5))  # repeated ids, rows 30.. never hit
+        out = dg.gather_rows(table, idx)
+        g = rng.normal(size=out.shape).astype(dtype)
+        (got,) = out._grad_fn(g)
+    expected = np.zeros_like(table.data)
+    np.add.at(expected, idx.reshape(-1), g.reshape(-1, 2, 3))
+    assert got.dtype == dtype
+    np.testing.assert_allclose(got, expected, rtol=rtol, atol=rtol)
+    assert np.all(got[30:] == 0.0)
+
+
+def test_gather_rows_distinct_ids_scatter_exactly():
+    table = t(np.random.default_rng(22).normal(size=(6, 3)), rg=True)
+    out = dg.gather_rows(table, np.array([4, 0, 5]))
+    g = np.random.default_rng(23).normal(size=(3, 3))
+    (got,) = out._grad_fn(g)
+    np.testing.assert_array_equal(got[[4, 0, 5]], g)
+    np.testing.assert_array_equal(got[[1, 2, 3]], 0.0)
+
+
+def test_identity_gather_passes_gradients_through_unchanged():
+    rng = np.random.default_rng(24)
+    table = t(rng.normal(size=(4, 2, 3)), rg=True)
+    weights = rng.normal(size=(4, 2, 3))
+    out = dg.gather_rows(table, np.arange(4))
+    assert out is table
+    dg.backward(dg.reduce_sum(dg.mul(out, weights)))
+    np.testing.assert_array_equal(table.grad, weights)
+    # a reordering or a subset is a real gather
+    assert dg.gather_rows(table, np.array([1, 0, 2, 3])) is not table
+    assert dg.gather_rows(table, np.arange(3)) is not table
+
+
+@pytest.mark.parametrize("op", ["matmul", "affine"])
+def test_constant_matmul_operand_gets_no_gradient(op):
+    rng = np.random.default_rng(25)
+    x = t(rng.normal(size=(3, 4)))
+    w = t(rng.normal(size=(4, 2)), rg=True)
+    out = dg.matmul(x, w) if op == "matmul" else dg.affine(x, w, t(np.zeros(2)))
+    grads = out._grad_fn(np.ones(out.shape))
+    assert grads[0] is None and grads[-1 if op == "affine" else 0] is None
+    np.testing.assert_array_equal(grads[1], x.data.T @ np.ones(out.shape))
+
+
+def test_affine_equals_matmul_plus_bias():
+    rng = np.random.default_rng(26)
+    x = rng.normal(size=(7, 4))
+    w, b = rng.normal(size=(3, 4, 5)), rng.normal(size=(3, 1, 5))
+    np.testing.assert_array_equal(dg.affine(t(x), t(w), t(b)).data, x @ w + b)
+    with pytest.raises(ConfigError):
+        dg.affine(t(x), t(w), t(np.ones((2, 1, 5))))
+    with pytest.raises(ConfigError):
+        dg.affine(t(x), t(np.ones((5, 5))), t(np.ones(5)))
+
+
+def test_outer_product_matmul_equals_numpy_matmul():
+    rng = np.random.default_rng(27)
+    x, y = rng.normal(size=(3, 4, 5, 1)), rng.normal(size=(3, 1, 1, 6))
+    np.testing.assert_array_equal(dg.matmul(t(x), t(y)).data, x @ y)
 
 
 def test_gather_rows_out_of_range_is_data_error():
@@ -483,6 +576,18 @@ def test_checkpoint_line_format_is_stable(tmp_path):
     with dg.precision("f32"):
         dg.save_params({"a": dg.Tensor([1.0, 2.0])}, path)
     assert path.read_text() == '{"name":"a","shape":[2],"dtype":"f32","data":"AACAPwAAAEA="}\n'
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_checkpoint_non_finite_value_is_data_error(tmp_path, bad):
+    path = tmp_path / "ck.jsonl"
+    with dg.precision("f32"):
+        dg.save_params({"a": dg.Tensor([1.0, 2.0])}, path)
+    record = {"name": "temperature.ctr", **dg.encode_array(np.array(bad, dtype=np.float32))}
+    with open(path, "a") as fh:
+        fh.write(json.dumps(record) + "\n")
+    with pytest.raises(DataError, match=r"ck\.jsonl.*line 2.*'temperature\.ctr'"):
+        dg.load_params(path)
 
 
 def test_checkpoint_unknown_dtype_is_data_error(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 
 import mvke.diffgraph as dg
 import mvke.model as M
-from mvke.errors import ConfigError, DataError
+from mvke.errors import ConfigError, DataError, NumericsError
 from mvke.model import Task
 
 from fakes import FakeExample
@@ -121,6 +121,70 @@ def test_embed_multivalued_field_mean_pools(small_cfg):
 def test_embed_out_of_vocab_names_field(small_cfg):
     with pytest.raises(DataError, match="size"):
         one_example(small_cfg.schema, (1, 99, 3))
+
+
+def _reference_encoding(examples, schema):
+    """Row-by-row padding, the loop the vectorized encoder replaced."""
+    def pad(rows):
+        width = max(len(r) for r in rows)
+        idx = np.zeros((len(rows), width), dtype=np.int64)
+        weight = np.zeros((len(rows), width), dtype=np.float64)
+        for r, ids in enumerate(rows):
+            idx[r, :len(ids)] = ids
+            weight[r, :len(ids)] = 1.0 / len(ids)
+        return idx, weight
+
+    arrays = []
+    for j in range(len(schema.user_fields)):
+        arrays.extend(pad([tuple(v) if isinstance(v, (tuple, list)) else (int(v),)
+                           for v in (ex.field_values[j] for ex in examples)]))
+    arrays.extend(pad([tuple(sorted(set(ex.tag_set))) for ex in examples]))
+    arrays.append(np.array([float(ex.click_label) for ex in examples]))
+    arrays.append(np.array([float(ex.conversion_label) for ex in examples]))
+    return arrays
+
+
+def test_encode_matches_row_by_row_reference_byte_for_byte(small_cfg):
+    rng = np.random.default_rng(31)
+    schema = small_cfg.schema
+    examples = []
+    for i in range(200):
+        fields = tuple(tuple(int(v) for v in rng.integers(vocab, size=rng.integers(1, 4)))
+                       if j == 2 else int(rng.integers(vocab))
+                       for j, (_, vocab) in enumerate(schema.user_fields))
+        tags = tuple(int(v) for v in rng.integers(schema.tag_vocab_size,
+                                                   size=rng.integers(1, 6)))
+        examples.append(FakeExample(fields, tags, i % 2, i % 4 == 0))
+    batch = M.encode_examples(examples, schema)
+    got = []
+    for idx, weight in zip(batch.field_idx, batch.field_weight):
+        got += [idx, weight]
+    got += [batch.tag_idx, batch.tag_weight, batch.clicks, batch.convs]
+    for a, b in zip(got, _reference_encoding(examples, schema), strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("rows, message", [
+    # the first bad row in field order, then row order, is reported
+    ([((1, 99, 3), (1,)), ((1, 2, ()), (1,))], "field 'size': id 99 out of vocab range [0, 4)"),
+    ([((1, 2, ()), (1,)), ((1, 2, (9, -1)), (1,))], "field 'habits' has no values"),
+    ([((1, 2, (0, 9, -4, 8)), (1,))], "field 'habits': id 9 out of vocab range [0, 7)"),
+    ([((1, 2, 3), (1,)), ((1, 2, 3), ())], "example has an empty tag set"),
+    ([((1, 2, 3), (12, -3, 1))], "tag id -3 out of vocab range [0, 10)"),
+    ([((1, 2, 3), (11,)), ((1, 2, 3), ())], "tag id 11 out of vocab range [0, 10)"),
+])
+def test_encode_error_names_first_bad_row(small_cfg, rows, message):
+    examples = [FakeExample(fields, tags) for fields, tags in rows]
+    with pytest.raises(DataError) as err:
+        M.encode_examples(examples, small_cfg.schema)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("bad", [2**70, float("nan")])
+def test_encode_id_beyond_int64_is_data_error(small_cfg, bad):
+    with pytest.raises(DataError) as err:
+        one_example(small_cfg.schema, (1, 2, (2, bad)))
+    assert str(err.value) == f"field 'habits': id {bad} out of vocab range [0, 7)"
 
 
 def test_embedding_gradient_touches_only_looked_up_rows(small_cfg):
@@ -538,3 +602,46 @@ def test_user_fields_share_one_table_at_field_offsets(small_cfg):
     for fname, vocab in schema.user_fields:
         np.testing.assert_array_equal(field_rows(params["user_embed"].data, schema, fname),
                                       rng.uniform(-0.05, 0.05, size=(vocab, 8)))
+
+
+def test_load_model_refuses_a_non_finite_parameter(tmp_path, small_cfg):
+    with dg.precision("f32"):
+        model = M.MvkeModel(small_cfg, seed=1)
+        model.params["temperature.ctr"].data[...] = np.nan
+        M.save_model(model, tmp_path / "ckpt")
+    line = 1 + list(model.params).index("temperature.ctr")
+    with pytest.raises(DataError, match=rf"params\.jsonl.*line {line}.*'temperature\.ctr'"):
+        M.load_model(tmp_path / "ckpt")
+
+
+# ---------------------------------------------------------------------------
+# non-finite inference outputs
+
+
+@pytest.mark.parametrize("name", ["temperature.ctr", "experts.head2.b"])
+def test_non_finite_parameter_fails_inference_with_numerics_error(
+        small_cfg, small_batch_examples, name):
+    model = M.MvkeModel(small_cfg, seed=1)
+    model.params[name].data[...] = np.nan
+    batch = M.encode_examples(small_batch_examples, small_cfg.schema)
+    with pytest.raises(NumericsError):  # from the output check or the cosine norms
+        model.predict(batch, Task.CTR)
+    if name.startswith("experts."):
+        with pytest.raises(NumericsError, match="expert outputs"):
+            model.user_expert_outputs(batch)
+
+
+def test_non_finite_tag_side_is_numerics_error(small_cfg):
+    model = M.MvkeModel(small_cfg, seed=1)
+    model.params["gate.cvr.k_proj.b"].data[...] = np.nan
+    with pytest.raises(NumericsError, match="cvr tag side"):
+        model.tag_side(Task.CVR, [0, 1, 2])
+    model.tag_side(Task.CTR, [0, 1, 2])  # the other task's gate is untouched
+
+
+def test_non_finite_two_tower_prediction_is_numerics_error(small_cfg, small_batch_examples):
+    model = M.TwoTowerModel(small_cfg, Task.CVR, seed=1)
+    model.params["temperature.cvr"].data[...] = np.nan
+    batch = M.encode_examples(small_batch_examples, small_cfg.schema)
+    with pytest.raises(NumericsError, match="cvr predictions"):
+        model.predict(batch, Task.CVR)

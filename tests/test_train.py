@@ -7,7 +7,7 @@ import mvke.data as D
 import mvke.diffgraph as dg
 import mvke.model as M
 import mvke.train as T
-from mvke.errors import ConfigError, TrainingDivergenceError
+from mvke.errors import ConfigError, NumericsError, TrainingDivergenceError
 from mvke.evaluation import evaluate
 from mvke.model import Task
 
@@ -35,6 +35,8 @@ def test_train_config_validation():
         T.TrainConfig(batch_size=0)
     with pytest.raises(ConfigError):
         T.TrainConfig(mode="both")
+    with pytest.raises(ConfigError, match="eps"):
+        T.TrainConfig(eps=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +125,28 @@ def test_adam_first_step_matches_scalar_oracle():
     expected = 3.0 - 0.1 * m_hat / (math.sqrt(v_hat) + 1e-8)
     assert w.data[0] == pytest.approx(expected, abs=0)
     assert w.grad is None  # grads zeroed after the step
+
+
+def test_adam_keeps_parameters_as_views_of_one_buffer():
+    w = dg.Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]), requires_grad=True)
+    b = dg.Tensor(np.array([5.0]), requires_grad=True)
+    opt = T.Adam({"w": w, "b": b}, learning_rate=0.1)
+    np.testing.assert_array_equal(opt.flat, [1.0, 2.0, 3.0, 4.0, 5.0])
+    assert w.data.shape == (2, 2) and np.shares_memory(w.data, opt.flat)
+    w.grad, b.grad = np.ones((2, 2)), np.array([-1.0])
+    opt.step({"w": w, "b": b})
+    np.testing.assert_array_equal(opt.flat, np.concatenate([w.data.ravel(), b.data]))
+    np.testing.assert_allclose(w.data, [[0.9, 1.9], [2.9, 3.9]], rtol=1e-8)
+    np.testing.assert_allclose(b.data, [5.1], rtol=1e-8)
+
+
+def test_adam_names_the_parameter_that_became_non_finite():
+    w = dg.Tensor(np.array([1.0]), requires_grad=True)
+    v = dg.Tensor(np.array([1e308]), requires_grad=True)
+    opt = T.Adam({"w": w, "v": v}, learning_rate=1e308)
+    w.grad, v.grad = np.array([0.0]), np.array([-1.0])  # v steps past the float max
+    with np.errstate(over="ignore"), pytest.raises(NumericsError, match="'v' became"):
+        opt.step({"w": w, "v": v})
 
 
 def test_adam_aborts_on_non_finite_grad():
@@ -226,6 +250,37 @@ def test_fit_reports_divergence_with_location(tiny_data):
         T.fit(model, train, test, T.TrainConfig(epochs=1))
     assert err.value.epoch == 0
     assert err.value.batch == 0
+
+
+def test_fit_reports_non_finite_loss_with_location(tiny_data):
+    train, test, mcfg = tiny_data
+    model = M.MvkeModel(mcfg, seed=0)
+    # a NaN temperature reaches the loss through the score head alone,
+    # past the norm check in cosine_similarity
+    model.params["temperature.cvr"].data[...] = np.nan
+    with pytest.raises(TrainingDivergenceError, match="loss") as err:
+        T.fit(model, train, test, T.TrainConfig(epochs=1))
+    assert (err.value.epoch, err.value.batch) == (0, 0)
+
+
+def test_multi_task_loss_graph_stays_within_node_budget():
+    """Tensors reachable from one multi-task loss at the default shape."""
+    gen = D.GeneratorConfig()
+    cfg = M.ModelConfig(schema=D.schema_for(gen, embed_dim=16),
+                        routing=M.five_expert_routing())
+    rng = np.random.default_rng(0)
+    examples = [FakeExample(tuple(int(rng.integers(v)) for _, v in cfg.schema.user_fields),
+                            (int(rng.integers(gen.n_tags)),), i % 2, 0)
+                for i in range(8)]
+    loss = T.mtl_loss(M.encode_examples(examples, cfg.schema), cfg,
+                      M.init_mvke_params(cfg, seed=0), "multi")
+    seen, stack = {id(loss)}, [loss]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    assert len(seen) <= 105
 
 
 def test_fit_keeps_best_validation_checkpoint(tiny_data):
