@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import logging
 import os
@@ -24,8 +25,7 @@ from . import evaluation as eval_mod
 from . import serve as serve_mod
 from .errors import ConfigError, DataError, MvkeError, NumericsError
 from .model import (ExpertRouting, ModelConfig, MvkeModel, Task, TwoTowerModel,
-                    five_expert_routing, load_model, model_precision, save_model,
-                    split_routing)
+                    load_model, save_model, split_routing)
 from .train import TrainConfig, fit
 
 log = logging.getLogger("mvke")
@@ -115,22 +115,52 @@ def resolve_config(config_path: str | None, args: argparse.Namespace) -> dict:
         resolved["serve"]["topk"] = args.topk
     if resolved["mode"] not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {resolved['mode']!r}")
+    resolved["seed"] = _field(resolved, None, "seed", _int)
     return resolved
 
 
-def generator_config(resolved: dict) -> data_mod.GeneratorConfig:
-    try:
-        return data_mod.GeneratorConfig(seed=resolved["seed"], **resolved["data"])
-    except TypeError as e:
-        raise ConfigError(f"bad data section: {e}") from e
+def _int(value) -> int:
+    """``value`` as an int; ValueError for a bool, a non-number or a fraction."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
 
 
-def _field(resolved: dict, section: str, key: str, convert):
-    """``convert(resolved[section][key])``; ConfigError naming the section and field."""
+def _ints(values) -> list[int]:
+    return [_int(v) for v in values]
+
+
+def _field(resolved: dict, section: str | None, key: str, convert):
+    """``convert(resolved[section][key])``, or of ``resolved[key]`` for no section;
+    ConfigError naming the section and field."""
     try:
-        return convert(resolved[section][key])
+        return convert(resolved[key] if section is None else resolved[section][key])
     except (KeyError, TypeError, ValueError) as e:
-        raise ConfigError(f"bad {section} section: field {key!r}: {e}") from e
+        where = "config" if section is None else f"{section} section"
+        raise ConfigError(f"bad {where}: field {key!r}: {e}") from e
+
+
+def _section(resolved: dict, section: str, cls, **fixed):
+    """``cls(**fixed, **fields)``, each field of ``section`` read by ``_field``.
+
+    A field converts by the type ``cls`` declares for it (``int`` or
+    ``float``); a field ``cls`` lacks, or one in ``fixed``, is a ConfigError.
+    """
+    fields = resolved.get(section)
+    if not isinstance(fields, dict):
+        raise ConfigError(f"bad {section} section: expected an object, got {fields!r}")
+    types = {f.name: f.type for f in dataclasses.fields(cls) if f.name not in fixed}
+    unknown = sorted(set(fields) - types.keys())
+    if unknown:
+        raise ConfigError(f"bad {section} section: unknown fields {unknown}")
+    convert = {"int": _int, "float": float}
+    return cls(**fixed, **{key: _field(resolved, section, key, convert[types[key]])
+                           for key in fields})
+
+
+def generator_config(resolved: dict) -> data_mod.GeneratorConfig:
+    return _section(resolved, "data", data_mod.GeneratorConfig, seed=resolved["seed"])
 
 
 def model_config(resolved: dict) -> ModelConfig:
@@ -139,11 +169,11 @@ def model_config(resolved: dict) -> ModelConfig:
     def m(key, convert):
         return _field(resolved, "model", key, convert)
 
-    schema = data_mod.schema_for(gen_cfg, embed_dim=m("embed_dim", int))
-    routing = ExpertRouting(m("n_experts", int), m("ctr_experts", tuple),
-                            m("cvr_experts", tuple))
+    schema = data_mod.schema_for(gen_cfg, embed_dim=m("embed_dim", _int))
+    routing = ExpertRouting(m("n_experts", _int), m("ctr_experts", _ints),
+                            m("cvr_experts", _ints))
     return ModelConfig(schema=schema, routing=routing,
-                       head_hidden=m("head_hidden", int),
+                       head_hidden=m("head_hidden", _int),
                        tau_init=m("tau_init", float))
 
 
@@ -155,12 +185,8 @@ def train_config(resolved: dict) -> TrainConfig:
         "mvke-st-cvr": "cvr-only",
         "mvke-mt": "multi",
     }
-    try:
-        return TrainConfig(seed=resolved["seed"] + 2,
-                           mode=mode_map[resolved["mode"]],
-                           **resolved["train"])
-    except TypeError as e:
-        raise ConfigError(f"bad train section: {e}") from e
+    return _section(resolved, "train", TrainConfig, seed=resolved["seed"] + 2,
+                    mode=mode_map[resolved["mode"]])
 
 
 def _prepare_out(resolved: dict, out_dir: str) -> Path:
@@ -213,13 +239,6 @@ def build_model(resolved: dict):
     return MvkeModel(cfg, seed=seed)
 
 
-def _load_checkpoint(args):
-    """The model under ``--ckpt``, with the global precision set to the one it records."""
-    model = load_model(Path(args.ckpt))
-    dg.set_precision(model_precision(model))
-    return model
-
-
 def cmd_train(args) -> int:
     resolved = resolve_config(args.config, args)
     out = _prepare_out(resolved, args.out)
@@ -244,7 +263,7 @@ def cmd_eval(args) -> int:
     resolved = resolve_config(args.config, args)
     out = _prepare_out(resolved, args.out)
     _, test_ds = _load_datasets(args.data)
-    model = _load_checkpoint(args)
+    model = load_model(args.ckpt)
     report = eval_mod.evaluate(model, test_ds, model_id=resolved["mode"],
                                seed=resolved["seed"])
     eval_mod.write_csv(report.rows(), out / "report.csv",
@@ -258,7 +277,7 @@ def cmd_sweep(args) -> int:
     out = _prepare_out(resolved, args.out)
     dg.set_precision(resolved["precision"])
     train_ds, test_ds = _load_datasets(args.data)
-    counts = [int(k) for k in resolved["eval"]["sweep_counts"]]
+    counts = _field(resolved, "eval", "sweep_counts", _ints)
     rows = eval_mod.sensitivity_sweep(counts, train_ds, test_ds,
                                       model_config(resolved),
                                       train_config(resolved),
@@ -271,7 +290,7 @@ def cmd_sweep(args) -> int:
 def cmd_export_attention(args) -> int:
     resolved = resolve_config(args.config, args)
     out = _prepare_out(resolved, args.out)
-    model = _load_checkpoint(args)
+    model = load_model(args.ckpt)
     if model.kind != "mvke":
         raise ConfigError("gate-weight export needs a mixture checkpoint")
     rows = eval_mod.export_gate_weights(model)
@@ -282,12 +301,12 @@ def cmd_export_attention(args) -> int:
 
 def cmd_predict(args) -> int:
     resolved = resolve_config(args.config, args)
-    top_n = _field(resolved, "serve", "topk", int)
+    top_n = _field(resolved, "serve", "topk", _int)
     if top_n < 1:
         raise ConfigError("topk must be >= 1")
     out = _prepare_out(resolved, args.out)
     _, test_ds = _load_datasets(args.data)
-    model = _load_checkpoint(args)
+    model = load_model(args.ckpt)
     if model.kind != "mvke":
         raise ConfigError("the cached prediction path needs a mixture checkpoint")
     users = data_mod.user_roster(test_ds)
@@ -307,13 +326,13 @@ def cmd_bench(args) -> int:
     resolved = resolve_config(args.config, args)
     out = _prepare_out(resolved, args.out)
     _, test_ds = _load_datasets(args.data)
-    model = _load_checkpoint(args)
+    model = load_model(args.ckpt)
     if model.kind != "mvke":
         raise ConfigError("bench needs a mixture checkpoint")
     users = data_mod.user_roster(test_ds)
     tags = list(range(model.cfg.schema.tag_vocab_size))
     sizes = _field(resolved, "serve", "bench_sizes",
-                   lambda pairs: [(int(u), int(t)) for u, t in pairs])
+                   lambda pairs: [(_int(u), _int(t)) for u, t in pairs])
     rows = serve_mod.bench(model, users, tags, sizes)
     eval_mod.write_csv(rows, out / "bench.csv",
                        fieldnames=["n_users", "n_tags", "n_tasks",

@@ -13,6 +13,14 @@ are caught, as ``NumericsError`` unless noted, where they enter or leave: the
 training loss, the gradients and parameters in the optimizer, ``grad_check``'s
 loss, and the inference outputs of the model classes (see ``require_finite``).
 
+Arithmetic follows the operands: an op computes in the dtype of its inputs
+and casts its own constants to it, and a graph node is recorded only when
+an input has ``requires_grad``, so a forward over non-tracking views of the
+parameters (``raw_tensor``) builds no graph. The global precision
+(``set_precision``, ``precision``) is read only where raw numbers become a
+``Tensor``: parameter initialization and tests. The degenerate-norm count of
+``cosine_similarity`` is the one other module global.
+
 Model parameters are plain ``dict[str, Tensor]`` maps; the name is a
 dot-separated path (for example ``"experts.q_proj.w"``, which stacks the
 query projections of all experts along its first axis) so checkpoint I/O
@@ -35,7 +43,6 @@ from .errors import ConfigError, DataError, NumericsError
 _DTYPES = {"f32": np.float32, "f64": np.float64}
 
 _dtype = np.float64
-_grad_enabled = True
 _degenerate_norms = 0
 
 BCE_EPS = 1e-7
@@ -50,31 +57,16 @@ def set_precision(name: str) -> None:
     _dtype = _DTYPES[name]
 
 
-def precision_name() -> str:
-    return "f32" if _dtype is np.float32 else "f64"
-
-
 @contextmanager
 def precision(name: str):
     """Temporarily switch the global precision."""
-    prev = precision_name()
+    global _dtype
+    prev = _dtype
     set_precision(name)
     try:
         yield
     finally:
-        set_precision(prev)
-
-
-@contextmanager
-def no_grad():
-    """Disable graph construction inside the block (forward-only)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
-    try:
-        yield
-    finally:
-        _grad_enabled = prev
+        _dtype = prev
 
 
 def degenerate_norm_count() -> int:
@@ -152,7 +144,7 @@ def require_finite(arr: np.ndarray, what: str) -> np.ndarray:
 
 
 def _node(arr: np.ndarray, parents: tuple[Tensor, ...], grad_fn: Callable) -> Tensor:
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if any(p.requires_grad for p in parents):
         return Tensor._wrap(arr, True, parents, grad_fn)
     return Tensor._wrap(arr, False, (), None)
 
@@ -457,7 +449,9 @@ def cosine_similarity(a: Tensor, b: Tensor) -> Tensor:
 def attention_weights(q: Tensor, k: Tensor) -> Tensor:
     """``softmax(Q K^T / sqrt(d))``: ``[..., q, d] x [..., n, d] -> [..., q, n]``."""
     kt = transpose(k)
-    return softmax(mul(matmul(q, kt), 1.0 / math.sqrt(kt.shape[-2])), axis=-1)
+    scores = matmul(q, kt)
+    scale = raw_tensor(np.asarray(1.0 / math.sqrt(kt.shape[-2]), dtype=scores.data.dtype))
+    return softmax(mul(scores, scale), axis=-1)
 
 
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
@@ -580,11 +574,10 @@ def grad_check(f: Callable[[], Tensor], params: dict[str, Tensor],
         for i in entries:
             orig = flat[i]
             try:
-                with no_grad():
-                    flat[i] = orig + h
-                    up = _checked_loss(f).item()
-                    flat[i] = orig - h
-                    down = _checked_loss(f).item()
+                flat[i] = orig + h
+                up = _checked_loss(f).item()
+                flat[i] = orig - h
+                down = _checked_loss(f).item()
             except NumericsError as e:
                 raise NumericsError(
                     f"non-finite intermediate while checking {name!r}: {e}") from e

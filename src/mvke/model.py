@@ -527,6 +527,11 @@ def two_tower_forward(batch: EncodedBatch, cfg: ModelConfig,
 # model objects
 
 
+def _frozen(params: dict[str, Tensor]) -> dict[str, Tensor]:
+    """Non-tracking views of ``params``: a forward over them records no graph."""
+    return {name: dg.raw_tensor(t.data) for name, t in params.items()}
+
+
 class MvkeModel:
     """Mixture model wrapper: parameters, prediction, serving hooks."""
 
@@ -545,36 +550,30 @@ class MvkeModel:
     def reset_counters(self) -> None:
         self.counters = {"user_tower": 0, "tag_tower": 0}
 
-    def forward(self, batch: EncodedBatch,
-                tasks: Sequence[Task] = TASKS) -> dict[Task, tuple[Tensor, Tensor]]:
-        self.counters["user_tower"] += batch.size
-        self.counters["tag_tower"] += batch.size * len(tasks)
-        return mvke_forward(batch, self.cfg, self.params, tasks)
-
     def predict(self, batch: EncodedBatch, task: Task) -> np.ndarray:
-        with dg.no_grad():
-            out = self.forward(batch, (task,))
-        return dg.require_finite(out[task][0].data.copy(), f"{task.value} predictions")
+        self.counters["user_tower"] += batch.size
+        self.counters["tag_tower"] += batch.size
+        out = mvke_forward(batch, self.cfg, _frozen(self.params), (task,))
+        return dg.require_finite(out[task][0].data, f"{task.value} predictions")
 
     def user_expert_outputs(self, batch: EncodedBatch) -> np.ndarray:
         """All expert outputs for a batch of users, shape [B, k, d]."""
         self.counters["user_tower"] += batch.size
-        with dg.no_grad():
-            fields = embed_user_fields(batch, self.params, self.cfg.schema)
-            outs = vke_forward(fields, range(self.cfg.routing.n_experts), self.params)
+        params = _frozen(self.params)
+        fields = embed_user_fields(batch, params, self.cfg.schema)
+        outs = vke_forward(fields, range(self.cfg.routing.n_experts), params)
         return dg.require_finite(outs.data, "expert outputs").transpose(1, 0, 2)
 
     def tag_side(self, task: Task, tag_ids: Sequence[int]) -> tuple[np.ndarray, np.ndarray, float]:
         """Per-tag embeddings [T, d] and gate weights [T, n_task], plus tau."""
         self.counters["tag_tower"] += len(tag_ids)
         idx = np.array([int(t) for t in tag_ids], dtype=np.int64).reshape(-1, 1)
-        with dg.no_grad():
-            emb = tag_tower(idx, np.ones(idx.shape), task, self.params)
-            gates = gate_weights_for_tags(emb, task, self.params, self.cfg.routing)
+        params = _frozen(self.params)
+        emb = tag_tower(idx, np.ones(idx.shape), task, params)
+        gates = gate_weights_for_tags(emb, task, params, self.cfg.routing)
         tau = float(self.params[f"temperature.{task.value}"].data)
         what = f"{task.value} tag side"
-        return (dg.require_finite(emb.data.copy(), what),
-                dg.require_finite(gates.data.copy(), what), tau)
+        return dg.require_finite(emb.data, what), dg.require_finite(gates.data, what), tau
 
 
 class TwoTowerModel:
@@ -601,18 +600,12 @@ class TwoTowerModel:
             raise ConfigError(f"baseline model only serves task {self.task.value}")
         self.counters["user_tower"] += batch.size
         self.counters["tag_tower"] += batch.size
-        with dg.no_grad():
-            out = two_tower_forward(batch, self.cfg, self.params, task)
-        return dg.require_finite(out.data.copy(), f"{task.value} predictions")
+        out = two_tower_forward(batch, self.cfg, _frozen(self.params), task)
+        return dg.require_finite(out.data, f"{task.value} predictions")
 
 
 # ---------------------------------------------------------------------------
 # checkpoint I/O (parameters + model identity)
-
-
-def model_precision(model) -> str:
-    """Precision name (``"f32"`` or ``"f64"``) of the model's parameters."""
-    return dg.dtype_name(next(iter(model.params.values())).data)
 
 
 def save_model(model, out_dir) -> None:
@@ -621,7 +614,7 @@ def save_model(model, out_dir) -> None:
     meta = {
         "kind": model.kind,
         "config": model.cfg.to_dict(),
-        "precision": model_precision(model),
+        "precision": dg.dtype_name(next(iter(model.params.values())).data),
     }
     if model.kind == "two_tower":
         meta["task"] = model.task.value

@@ -15,6 +15,7 @@ import math
 import struct
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -144,21 +145,31 @@ class TagCache:
         return self.per_task[task]
 
 
-@dataclass
+@dataclass(eq=False)
 class TagAssignment:
-    """Per-user ranked tags, scores descending, ties by ascending tag id."""
+    """Per-user ranked tags, scores descending, ties by ascending tag id.
+
+    Row ``i`` of ``tag_ids`` and ``scores`` ``[U, top_n]`` ranks the tags of
+    user ``user_ids[i]``.
+    """
 
     task: Task
-    top_n: int
-    entries: dict[int, list[tuple[int, float]]]
+    user_ids: list[int]
+    tag_ids: np.ndarray
+    scores: np.ndarray
+
+    @cached_property
+    def entries(self) -> dict[int, list[tuple[int, float]]]:
+        """``{user_id: [(tag_id, score), ...]}``, built on first read."""
+        return {user_id: list(zip(tags, scores)) for user_id, tags, scores
+                in zip(self.user_ids, self.tag_ids.tolist(), self.scores.tolist())}
 
     def rows(self) -> list[dict]:
-        out = []
-        for user_id in sorted(self.entries):
-            for rank, (tag_id, score) in enumerate(self.entries[user_id], start=1):
-                out.append({"user_id": user_id, "rank": rank, "tag_id": tag_id,
-                            "task": self.task.value, "score": score})
-        return out
+        """CSV rows by ascending user id, then rank."""
+        tags, scores, task = self.tag_ids.tolist(), self.scores.tolist(), self.task.value
+        return [{"user_id": user_id, "rank": rank, "tag_id": tag_id, "task": task, "score": score}
+                for i, user_id in sorted(enumerate(self.user_ids), key=lambda p: p[1])
+                for rank, (tag_id, score) in enumerate(zip(tags[i], scores[i]), start=1)]
 
 
 CACHE_BATCH = 512
@@ -201,8 +212,9 @@ def score_from_cache(user_id: int, tag_id: int, task: Task,
     row = tc.row(tag_id)
     mixed = tc.gate_weights[row] @ user_cache.lookup(user_id)[list(tc.expert_ids)]
     tag_vec = tc.embeddings[row]
-    norms = math.sqrt(float(mixed @ mixed)) * math.sqrt(float(tag_vec @ tag_vec))
-    cos = min(max(float(mixed @ tag_vec) / max(norms, 1e-12), -1.0), 1.0)
+    norms = (max(math.sqrt(float(mixed @ mixed)), dg.NORM_EPS)
+             * max(math.sqrt(float(tag_vec @ tag_vec)), dg.NORM_EPS))
+    cos = min(max(float(mixed @ tag_vec) / norms, -1.0), 1.0)
     return dg._sigmoid_scalar(tc.tau * cos)
 
 
@@ -222,7 +234,7 @@ def _all_tags_scorer(tc: TaskTagCache):
     (n, k), d = w.shape, emb.shape[1]
     dot_form = (w[:, :, None] * emb[:, None, :]).reshape(n, k * d).T
     norm_form = (w[:, :, None] * w[:, None, :]).reshape(n, k * k).T
-    tag_norms = np.linalg.norm(emb, axis=1)
+    tag_norms = np.maximum(np.linalg.norm(emb, axis=1), dg.NORM_EPS)
     experts = list(tc.expert_ids)
 
     def score(vectors: np.ndarray) -> np.ndarray:
@@ -230,10 +242,11 @@ def _all_tags_scorer(tc: TaskTagCache):
         u = len(v)
         cos = v.reshape(u, k * d) @ dot_form
         norms = (v @ v.transpose(0, 2, 1)).reshape(u, k * k) @ norm_form
-        # in place: a fresh [u, T] temporary per step costs more than the step
-        np.sqrt(np.maximum(norms, 0.0, out=norms), out=norms)
+        # in place: a fresh [u, T] temporary per step costs more than the step;
+        # each norm is clamped at NORM_EPS, as in the forward's cosine
+        np.sqrt(np.maximum(norms, dg.NORM_EPS ** 2, out=norms), out=norms)
         norms *= tag_norms
-        cos /= np.maximum(norms, 1e-12, out=norms)
+        cos /= norms
         np.clip(cos, -1.0, 1.0, out=cos)
         cos *= tc.tau
         return dg._sigmoid_values(cos)
@@ -253,10 +266,12 @@ def assign_topk(caches: tuple[UserCache, TagCache], top_n: int,
     user_cache, tag_cache = caches
     tag_ids, score = _all_tags_scorer(tag_cache[task])
     top_n = min(top_n, len(tag_ids))
+    n_users = len(user_cache.user_ids)
+    ranked_tags = np.empty((n_users, top_n), dtype=np.int64)
+    ranked_scores = np.empty((n_users, top_n))
     if top_n == 0:
-        return TagAssignment(task, 0, {u: [] for u in user_cache.user_ids})
-    entries: dict[int, list[tuple[int, float]]] = {}
-    for start in range(0, len(user_cache.user_ids), CACHE_BATCH):
+        return TagAssignment(task, user_cache.user_ids, ranked_tags, ranked_scores)
+    for start in range(0, n_users, CACHE_BATCH):
         scores = score(user_cache.vectors[start:start + CACHE_BATCH])
         cols = np.argpartition(-scores, top_n - 1, axis=1)[:, :top_n]
         picked = np.take_along_axis(scores, cols, axis=1)
@@ -268,11 +283,9 @@ def assign_topk(caches: tuple[UserCache, TagCache], top_n: int,
         picked = np.take_along_axis(scores, cols, axis=1)
         # score descending, then tag id ascending (columns are in tag-id order)
         order = np.lexsort((cols, -picked), axis=1)
-        ranked_tags = tag_ids[np.take_along_axis(cols, order, axis=1)].tolist()
-        ranked_scores = np.take_along_axis(picked, order, axis=1).tolist()
-        entries.update(zip(user_cache.user_ids[start:start + CACHE_BATCH],
-                           (list(zip(t, s)) for t, s in zip(ranked_tags, ranked_scores))))
-    return TagAssignment(task, top_n, entries)
+        ranked_tags[start:start + CACHE_BATCH] = tag_ids[np.take_along_axis(cols, order, axis=1)]
+        ranked_scores[start:start + CACHE_BATCH] = np.take_along_axis(picked, order, axis=1)
+    return TagAssignment(task, user_cache.user_ids, ranked_tags, ranked_scores)
 
 
 def naive_scores(model: MvkeModel, users: Sequence[tuple[int, tuple]],

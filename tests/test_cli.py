@@ -352,12 +352,22 @@ def test_unknown_mode_is_config_error(tmp_path):
     ("train", {"model": {"ctr_experts": 5}}, "ctr_experts"),
     ("predict", {"serve": {"topk": "x"}}, "topk"),
     ("bench", {"serve": {"bench_sizes": [[8, 5, 1]]}}, "bench_sizes"),
+    ("train", {"train": {"batch_size": 2.5}}, "batch_size"),
+    ("train", {"train": {"batch_size": True}}, "batch_size"),
+    ("train", {"train": {"epochs": 1.5}}, "epochs"),
+    ("train", {"train": {"seed": 4}}, "seed"),
+    ("gen-data", {"seed": "x"}, "seed"),
+    ("gen-data", {"data": {"n_users": 2.5}}, "n_users"),
+    ("gen-data", {"data": {"n_user": 250}}, "n_user"),
+    ("sweep", {"eval": {"sweep_counts": ["x"]}}, "sweep_counts"),
+    ("predict", {"serve": {"topk": 2.5}}, "topk"),
 ])
 def test_bad_config_value_is_config_error(pipeline, tmp_path, capsys, command, extra, field):
     _, _, data_dir, train_dir = pipeline
-    argv = [command, "--config", write_config(tmp_path, extra), "--data", str(data_dir),
-            "--out", str(tmp_path / "o")]
-    if command != "train":
+    argv = [command, "--config", write_config(tmp_path, extra), "--out", str(tmp_path / "o")]
+    if command != "gen-data":
+        argv += ["--data", str(data_dir)]
+    if command not in ("gen-data", "train", "sweep"):
         argv += ["--ckpt", str(train_dir / "checkpoint")]
     assert main(argv) == 1
     err = capsys.readouterr().err

@@ -520,21 +520,13 @@ def test_gather_rows_out_of_range_is_data_error():
 
 
 # ---------------------------------------------------------------------------
-# precision and no_grad
+# precision
 
 def test_precision_controls_dtype():
     with dg.precision("f32"):
         assert dg.Tensor([1.0]).data.dtype == np.float32
     with dg.precision("f64"):
         assert dg.Tensor([1.0]).data.dtype == np.float64
-
-
-def test_no_grad_skips_graph():
-    w = t([2.0], rg=True)
-    with dg.no_grad():
-        out = dg.mul(w, w)
-    assert not out.requires_grad
-    assert out._parents == ()
 
 
 def test_unknown_precision_rejected():

@@ -204,12 +204,11 @@ def test_embedding_gradient_touches_only_looked_up_rows(small_cfg):
     # finite differences agree that untouched rows have zero gradient
     flat = field_rows(params["user_embed"].data, small_cfg.schema, "color")
     orig = flat[0, 0]
-    with dg.no_grad():
-        flat[0, 0] = orig + 1e-4
-        up = loss().item()
-        flat[0, 0] = orig - 1e-4
-        down = loss().item()
-        flat[0, 0] = orig
+    flat[0, 0] = orig + 1e-4
+    up = loss().item()
+    flat[0, 0] = orig - 1e-4
+    down = loss().item()
+    flat[0, 0] = orig
     assert up == down
 
 
@@ -612,6 +611,34 @@ def test_load_model_refuses_a_non_finite_parameter(tmp_path, small_cfg):
     line = 1 + list(model.params).index("temperature.ctr")
     with pytest.raises(DataError, match=rf"params\.jsonl.*line {line}.*'temperature\.ctr'"):
         M.load_model(tmp_path / "ckpt")
+
+
+# ---------------------------------------------------------------------------
+# inference
+
+
+def test_inference_records_no_graph(small_cfg, small_batch_examples, monkeypatch):
+    """Inference on parameters that require grad makes only untracked nodes."""
+    nodes, node = [], dg._node
+
+    def recording_node(*args):
+        nodes.append(node(*args))
+        return nodes[-1]
+
+    monkeypatch.setattr(dg, "_node", recording_node)
+    mixture = M.MvkeModel(small_cfg, seed=1)
+    baseline = M.TwoTowerModel(small_cfg, Task.CVR, seed=1)
+    params = [*mixture.params.values(), *baseline.params.values()]
+    assert all(t.requires_grad for t in params)
+    batch = M.encode_examples(small_batch_examples, small_cfg.schema)
+    for task in M.TASKS:
+        mixture.predict(batch, task)
+        mixture.tag_side(task, [0, 3, 9])
+    mixture.user_expert_outputs(batch)
+    baseline.predict(batch, Task.CVR)
+    assert len(nodes) > 50
+    assert not any(t.requires_grad or t._parents for t in nodes)
+    assert all(t.grad is None and t.requires_grad for t in params)
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,23 @@ def test_single_expert_task_reduces_to_cosine():
         assert got == pytest.approx(float(expected), abs=1e-6)
 
 
+@pytest.mark.parametrize("user_norm", [0.0, 1e-7])
+def test_cached_scores_clamp_each_norm_like_the_forward(user_norm):
+    """Tiny and zero norms score as ``cosine_similarity`` -> tau -> sigmoid does."""
+    direction = np.full(4, 0.5)
+    user = user_norm * direction
+    tags = np.stack([1e-7 * direction, direction, np.zeros(4)])
+    tau = 5.0
+    cos = dg.cosine_similarity(dg.raw_tensor(np.tile(user, (3, 1))), dg.raw_tensor(tags))
+    want = dg.sigmoid(dg.mul(cos, dg.raw_tensor(np.array(tau)))).data
+    tc = S.TaskTagCache(Task.CTR, [0, 1, 2], tags, np.ones((3, 1)), expert_ids=(0,), tau=tau)
+    caches = (S.UserCache([5], user.reshape(1, 1, 4)), S.TagCache({Task.CTR: tc}))
+    looked_up = [S.score_from_cache(5, tag, Task.CTR, caches) for tag in (0, 1, 2)]
+    np.testing.assert_allclose(looked_up, want, rtol=0, atol=1e-9)
+    ranked = dict(S.assign_topk(caches, 3, Task.CTR).entries[5])
+    np.testing.assert_allclose([ranked[tag] for tag in (0, 1, 2)], want, rtol=0, atol=1e-9)
+
+
 def test_missing_ids_raise_lookup_error(served):
     _, _, _, caches = served
     with pytest.raises(DataError):

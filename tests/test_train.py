@@ -199,6 +199,33 @@ def test_fit_two_runs_identical_trajectories(tiny_data):
         np.testing.assert_array_equal(m1.params[name].data, m2.params[name].data)
 
 
+def test_f32_model_computes_in_f32_under_an_f64_global(tiny_data):
+    """Inference and training follow the parameters' dtype, not the global precision."""
+    train, test, mcfg = tiny_data
+    with dg.precision("f32"):
+        model = M.MvkeModel(mcfg, seed=0)
+    init = T.snapshot_params(model.params)
+    batch = M.encode_examples(test[:64], mcfg.schema)
+    tags = range(mcfg.schema.tag_vocab_size)
+
+    def run(precision):
+        model.params = T.snapshot_params(init)
+        with dg.precision(precision):
+            out = [model.predict(batch, task) for task in M.TASKS]
+            out.append(model.user_expert_outputs(batch))
+            for task in M.TASKS:
+                out.extend(model.tag_side(task, tags)[:2])
+            params, history = T.fit(model, train, test, T.TrainConfig(epochs=1, seed=3))
+        return out + [t.data for t in params.values()], history
+
+    want, want_history = run("f32")
+    got, got_history = run("f64")
+    assert got_history == want_history
+    for w, g in zip(want, got, strict=True):
+        assert g.dtype == np.float32
+        np.testing.assert_array_equal(g, w)
+
+
 def test_fit_loss_decreases_over_first_three_epochs(tiny_data):
     train, test, mcfg = tiny_data
     model = M.MvkeModel(mcfg, seed=0)
