@@ -15,6 +15,7 @@ import copy
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -108,11 +109,10 @@ def resolve_config(config_path: str | None, args: argparse.Namespace) -> dict:
     if getattr(args, "vke_count", None) is not None:
         k = args.vke_count
         routing = split_routing(k)
-        resolved["model"]["n_experts"] = k
-        resolved["model"]["ctr_experts"] = list(routing.ctr_experts)
-        resolved["model"]["cvr_experts"] = list(routing.cvr_experts)
+        _object(resolved, "model").update(n_experts=k, ctr_experts=list(routing.ctr_experts),
+                                          cvr_experts=list(routing.cvr_experts))
     if getattr(args, "topk", None) is not None:
-        resolved["serve"]["topk"] = args.topk
+        _object(resolved, "serve")["topk"] = args.topk
     if resolved["mode"] not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {resolved['mode']!r}")
     resolved["seed"] = _field(resolved, None, "seed", _int)
@@ -127,6 +127,13 @@ def _int(value) -> int:
     return int(value)
 
 
+def _float(value) -> float:
+    """``value`` as a float; ValueError for a bool, a non-number, NaN or infinity."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return float(value)
+
+
 def _ints(values) -> list[int]:
     return [_int(v) for v in values]
 
@@ -136,9 +143,17 @@ def _field(resolved: dict, section: str | None, key: str, convert):
     ConfigError naming the section and field."""
     try:
         return convert(resolved[key] if section is None else resolved[section][key])
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         where = "config" if section is None else f"{section} section"
         raise ConfigError(f"bad {where}: field {key!r}: {e}") from e
+
+
+def _object(resolved: dict, section: str) -> dict:
+    """``resolved[section]``; ConfigError naming the section unless it is an object."""
+    fields = resolved.get(section)
+    if not isinstance(fields, dict):
+        raise ConfigError(f"bad {section} section: expected an object, got {fields!r}")
+    return fields
 
 
 def _section(resolved: dict, section: str, cls, **fixed):
@@ -147,14 +162,12 @@ def _section(resolved: dict, section: str, cls, **fixed):
     A field converts by the type ``cls`` declares for it (``int`` or
     ``float``); a field ``cls`` lacks, or one in ``fixed``, is a ConfigError.
     """
-    fields = resolved.get(section)
-    if not isinstance(fields, dict):
-        raise ConfigError(f"bad {section} section: expected an object, got {fields!r}")
+    fields = _object(resolved, section)
     types = {f.name: f.type for f in dataclasses.fields(cls) if f.name not in fixed}
     unknown = sorted(set(fields) - types.keys())
     if unknown:
         raise ConfigError(f"bad {section} section: unknown fields {unknown}")
-    convert = {"int": _int, "float": float}
+    convert = {"int": _int, "float": _float}
     return cls(**fixed, **{key: _field(resolved, section, key, convert[types[key]])
                            for key in fields})
 
@@ -174,7 +187,7 @@ def model_config(resolved: dict) -> ModelConfig:
                             m("cvr_experts", _ints))
     return ModelConfig(schema=schema, routing=routing,
                        head_hidden=m("head_hidden", _int),
-                       tau_init=m("tau_init", float))
+                       tau_init=m("tau_init", _float))
 
 
 def train_config(resolved: dict) -> TrainConfig:

@@ -311,7 +311,18 @@ def write_dataset(dataset: Iterable[Example], path) -> None:
             fh.write(json.dumps(record, separators=(",", ":")) + "\n")
 
 
+def _json_int(value) -> int:
+    """``value`` itself if it is a JSON integer; ValueError for anything else, a bool included."""
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
 def read_dataset(path) -> list[Example]:
+    """Rows from ``write_dataset``; DataError naming the file and line of a malformed one.
+
+    Every id, field value and label must be a JSON integer.
+    """
     rows: list[Example] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -321,18 +332,19 @@ def read_dataset(path) -> list[Example]:
             try:
                 doc = json.loads(line)
                 ex = Example(
-                    user_id=int(doc["user_id"]),
-                    field_values=_tuple_fields(doc["fields"]),
-                    tag_set=tuple(int(t) for t in doc["tags"]),
-                    click_label=int(doc["click"]),
-                    conversion_label=int(doc["conv"]),
+                    user_id=_json_int(doc["user_id"]),
+                    field_values=tuple(tuple(map(_json_int, v)) if isinstance(v, list)
+                                       else _json_int(v) for v in doc["fields"]),
+                    tag_set=tuple(map(_json_int, doc["tags"])),
+                    click_label=_json_int(doc["click"]),
+                    conversion_label=_json_int(doc["conv"]),
                 )
+                if ex.click_label not in (0, 1) or ex.conversion_label not in (0, 1):
+                    raise DataError("labels must be 0/1")
+                if not ex.tag_set:
+                    raise DataError("empty tag set")
             except (KeyError, ValueError, TypeError, DataError) as e:
-                raise DataError(f"malformed dataset line {lineno}: {e}") from e
-            if ex.click_label not in (0, 1) or ex.conversion_label not in (0, 1):
-                raise DataError(f"malformed dataset line {lineno}: labels must be 0/1")
-            if not ex.tag_set:
-                raise DataError(f"malformed dataset line {lineno}: empty tag set")
+                raise DataError(f"{path}: malformed dataset line {lineno}: {e}") from e
             rows.append(ex)
     return rows
 

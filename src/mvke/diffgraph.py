@@ -405,15 +405,15 @@ def gather_rows(table: Tensor, indices) -> Tensor:
 
 
 def cosine_similarity(a: Tensor, b: Tensor) -> Tensor:
-    """Cosine of the angle between vectors, row-wise for 2-d inputs.
+    """Cosine of the angle between vectors along the last axis.
 
-    Accepts ``[d] x [d] -> scalar`` or ``[n, d] x [n, d] -> [n]``. Norms
+    Accepts ``[..., d] x [..., d] -> [...]``; ``[d] x [d]`` gives a scalar. Norms
     below 1e-12 are clamped (and counted) so degenerate embeddings do not
     produce NaN.
     """
     global _degenerate_norms
     a, b = as_tensor(a), as_tensor(b)
-    if a.shape != b.shape or a.ndim not in (1, 2):
+    if a.shape != b.shape or a.ndim < 1:
         raise ConfigError(f"cosine_similarity shape mismatch: {a.shape} vs {b.shape}")
     av = a.data.reshape(-1, a.shape[-1])
     bv = b.data.reshape(-1, b.shape[-1])
@@ -446,12 +446,16 @@ def cosine_similarity(a: Tensor, b: Tensor) -> Tensor:
     return _node(out, (a, b), grad_fn)
 
 
-def attention_weights(q: Tensor, k: Tensor) -> Tensor:
-    """``softmax(Q K^T / sqrt(d))``: ``[..., q, d] x [..., n, d] -> [..., q, n]``."""
+def attention_weights(q: Tensor, k: Tensor, mask: Tensor | None = None) -> Tensor:
+    """``softmax(Q K^T / sqrt(d) + mask)``: ``[..., q, d] x [..., n, d] -> [..., q, n]``.
+
+    A ``-inf`` in ``mask`` gives exactly zero weight and exactly zero gradient.
+    """
     kt = transpose(k)
     scores = matmul(q, kt)
     scale = raw_tensor(np.asarray(1.0 / math.sqrt(kt.shape[-2]), dtype=scores.data.dtype))
-    return softmax(mul(scores, scale), axis=-1)
+    scores = mul(scores, scale)
+    return softmax(scores if mask is None else add(scores, mask), axis=-1)
 
 
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:

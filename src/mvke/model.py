@@ -4,8 +4,9 @@ Two models share the same tag tower and scoring head:
 
 * the virtual-kernel mixture model: per-expert attention over user field
   embeddings, queried by a learnable kernel vector, combined per task by
-  a tag-conditioned gate. All experts share one shape, so each expert
-  layer is one parameter stacked along a leading expert axis;
+  a tag-conditioned gate. Each expert layer is one parameter with a leading
+  expert axis, each task parameter (tag tower, gate, temperature) one with a
+  leading task axis; the routing of experts to tasks is a gate-logit mask;
 * a plain two-tower baseline: mean field embedding through a small MLP.
 
 All forward functions are pure in the parameters and take batches only:
@@ -101,6 +102,12 @@ class ExpertRouting:
 
     def task_experts(self, task: Task) -> tuple[int, ...]:
         return self.ctr_experts if task == Task.CTR else self.cvr_experts
+
+    def gate_mask(self, dtype=np.float64) -> np.ndarray:
+        """Gate-logit mask [n_tasks, 1, k]: 0 where a task routes to an expert, -inf elsewhere."""
+        routed = np.array([[e in self.task_experts(task) for e in range(self.n_experts)]
+                           for task in TASKS])
+        return np.where(routed, 0.0, -np.inf).astype(dtype)[:, None, :]
 
     def check_multi_task(self) -> None:
         """Both-task constraints: a shared expert and an exclusive one per task."""
@@ -313,58 +320,55 @@ def _user_table(rng: np.random.Generator, schema: FieldSchema) -> np.ndarray:
                            for _, vocab in schema.user_fields])
 
 
-def _param(params: dict[str, Tensor], name: str, values: np.ndarray) -> None:
-    if name in params:
-        raise ConfigError(f"duplicate parameter name {name!r}")
-    params[name] = Tensor(values, requires_grad=True)
+def _task_arrays(rng: np.random.Generator, cfg: ModelConfig, n_tasks: int,
+                 gate: bool) -> dict[str, np.ndarray]:
+    """Tag tower (and gate) arrays drawn task by task, then stacked on a leading
+    task axis (``embed [n, T, d]``, ``w [n, d, d]``, ``b [n, 1, d]``), plus ``temperature [n]``."""
+    d = cfg.schema.embed_dim
+    draws = []
+    for _ in range(n_tasks):
+        row = {"tag_tower.embed": _embed_table(rng, cfg.schema.tag_vocab_size, d),
+               "tag_tower.proj.w": _xavier(rng, d, d)}
+        if gate:
+            row["gate.q_proj.w"] = _xavier(rng, d, d)
+            row["gate.k_proj.w"] = _xavier(rng, d, d)
+        draws.append(row)
+    arrays = {}
+    for name in draws[0]:
+        arrays[name] = np.stack([row[name] for row in draws])
+        if name.endswith(".w"):
+            arrays[name[:-1] + "b"] = np.zeros((n_tasks, 1, d))
+    arrays["temperature"] = np.full(n_tasks, cfg.tau_init)
+    return arrays
 
 
-def _init_tag_tower(params, rng, schema: FieldSchema, task: Task) -> None:
-    d = schema.embed_dim
-    _param(params, f"tag_tower.{task.value}.embed",
-           _embed_table(rng, schema.tag_vocab_size, d))
-    _param(params, f"tag_tower.{task.value}.proj.w", _xavier(rng, d, d))
-    _param(params, f"tag_tower.{task.value}.proj.b", np.zeros(d))
+def _params(arrays: dict[str, np.ndarray]) -> dict[str, Tensor]:
+    return {name: Tensor(values, requires_grad=True) for name, values in arrays.items()}
 
 
 def init_mvke_params(cfg: ModelConfig, seed: int) -> dict[str, Tensor]:
     rng = np.random.default_rng(seed)
-    schema, routing = cfg.schema, cfg.routing
-    d, h = schema.embed_dim, cfg.hidden
-    params: dict[str, Tensor] = {}
-    _param(params, "user_embed", _user_table(rng, schema))
-    _param(params, "virtual_kernels", _distinct_unit_kernels(rng, routing.n_experts, d))
+    d, h, k = cfg.schema.embed_dim, cfg.hidden, cfg.routing.n_experts
+    arrays = {"user_embed": _user_table(rng, cfg.schema),
+              "virtual_kernels": _distinct_unit_kernels(rng, k, d)}
     # drawn expert by expert, layer by layer, then stacked: w [k, in, out], b [k, 1, out]
     shapes = {"q_proj": (d, d), "k_proj": (d, d), "v_proj": (d, d),
               "head1": (d, h), "head2": (h, d)}
-    draws = [[_xavier(rng, *shape) for shape in shapes.values()]
-             for _ in range(routing.n_experts)]
+    draws = [[_xavier(rng, *shape) for shape in shapes.values()] for _ in range(k)]
     for j, (layer, (_, fan_out)) in enumerate(shapes.items()):
-        _param(params, f"experts.{layer}.w", np.stack([row[j] for row in draws]))
-        _param(params, f"experts.{layer}.b", np.zeros((routing.n_experts, 1, fan_out)))
-    for task in TASKS:
-        _init_tag_tower(params, rng, schema, task)
-        _param(params, f"gate.{task.value}.q_proj.w", _xavier(rng, d, d))
-        _param(params, f"gate.{task.value}.q_proj.b", np.zeros(d))
-        _param(params, f"gate.{task.value}.k_proj.w", _xavier(rng, d, d))
-        _param(params, f"gate.{task.value}.k_proj.b", np.zeros(d))
-        _param(params, f"temperature.{task.value}", np.array(cfg.tau_init))
-    return params
+        arrays[f"experts.{layer}.w"] = np.stack([row[j] for row in draws])
+        arrays[f"experts.{layer}.b"] = np.zeros((k, 1, fan_out))
+    return _params({**arrays, **_task_arrays(rng, cfg, len(TASKS), gate=True)})
 
 
-def init_two_tower_params(cfg: ModelConfig, task: Task, seed: int) -> dict[str, Tensor]:
+def init_two_tower_params(cfg: ModelConfig, seed: int) -> dict[str, Tensor]:
+    """Baseline parameters; its one task is a task axis of size 1."""
     rng = np.random.default_rng(seed)
-    schema = cfg.schema
-    d, h = schema.embed_dim, cfg.hidden
-    params: dict[str, Tensor] = {}
-    _param(params, "user_embed", _user_table(rng, schema))
-    _param(params, "user_mlp.w1", _xavier(rng, d, h))
-    _param(params, "user_mlp.b1", np.zeros(h))
-    _param(params, "user_mlp.w2", _xavier(rng, h, d))
-    _param(params, "user_mlp.b2", np.zeros(d))
-    _init_tag_tower(params, rng, schema, task)
-    _param(params, f"temperature.{task.value}", np.array(cfg.tau_init))
-    return params
+    d, h = cfg.schema.embed_dim, cfg.hidden
+    arrays = {"user_embed": _user_table(rng, cfg.schema),
+              "user_mlp.w1": _xavier(rng, d, h), "user_mlp.b1": np.zeros(h),
+              "user_mlp.w2": _xavier(rng, h, d), "user_mlp.b2": np.zeros(d)}
+    return _params({**arrays, **_task_arrays(rng, cfg, 1, gate=False)})
 
 
 def count_params(params: dict[str, Tensor]) -> int:
@@ -379,131 +383,111 @@ def _affine(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
     return dg.affine(x, params[f"{prefix}.w"], params[f"{prefix}.b"])
 
 
-def _pooled_lookup(table: Tensor, idx: Sequence[np.ndarray], weight: Sequence[np.ndarray],
-                   offsets: Sequence[int]) -> Tensor:
-    """Weighted sums of table rows [B, g, d], one per group ``j`` of columns ``idx[j] [B, c_j]``.
+def embed_user_fields(batch: EncodedBatch, params: dict[str, Tensor],
+                      schema: FieldSchema) -> Tensor:
+    """Field embeddings [B, m, d]; a multi-valued field is mean-pooled into one row.
 
-    Group ``j``'s ids count from row ``offsets[j]``. All columns are gathered
-    at once, then pooled by one matmul with the constant [B, g, C] weight matrix.
+    Field ``j``'s ids count from row ``field_offsets[j]`` of ``user_embed``. All
+    columns are gathered at once, then pooled by one matmul with the constant
+    [B, m, C] weight matrix.
     """
-    widths = [i.shape[1] for i in idx]
-    cols = np.concatenate(idx, axis=1) + np.repeat(offsets, widths)
-    pool = np.zeros((len(cols), len(widths), cols.shape[1]), dtype=table.data.dtype)
+    table = params["user_embed"]
+    widths = [i.shape[1] for i in batch.field_idx]
+    cols = np.concatenate(batch.field_idx, axis=1) + np.repeat(schema.field_offsets, widths)
+    pool = np.zeros((batch.size, len(widths), cols.shape[1]), dtype=table.data.dtype)
     pool[:, np.repeat(np.arange(len(widths)), widths), np.arange(cols.shape[1])] = \
-        np.concatenate(weight, axis=1)
+        np.concatenate(batch.field_weight, axis=1)
     return dg.matmul(dg.raw_tensor(pool), dg.gather_rows(table, cols))
 
 
-def embed_user_fields(batch: EncodedBatch, params: dict[str, Tensor],
-                      schema: FieldSchema) -> Tensor:
-    """Field embeddings [B, m, d]; a multi-valued field is mean-pooled into one row."""
-    return _pooled_lookup(params["user_embed"], batch.field_idx, batch.field_weight,
-                          schema.field_offsets)
-
-
-def tag_tower(tag_idx: np.ndarray, tag_weight: np.ndarray, task: Task,
+def tag_tower(tag_idx: np.ndarray, tag_weight: np.ndarray,
               params: dict[str, Tensor]) -> Tensor:
-    """Tag embeddings [B, d]: mean of tag rows, then affine + tanh."""
-    prefix = f"tag_tower.{task.value}"
-    pooled = _pooled_lookup(params[f"{prefix}.embed"], [tag_idx], [tag_weight], [0])
-    pooled = dg.reshape(pooled, (len(tag_idx), pooled.shape[-1]))
-    return dg.tanh(_affine(pooled, params, f"{prefix}.proj"))
+    """Tag embeddings [n_tasks, B, d]: per task, the mean of its tag rows, then affine + tanh."""
+    embed = params["tag_tower.embed"]
+    n, rows, d = embed.shape
+    ids = tag_idx + rows * np.arange(n).reshape(n, 1, 1)  # [n, B, c] in the flattened table
+    pool = dg.raw_tensor(tag_weight[:, None, :].astype(embed.data.dtype))  # [B, 1, c]
+    pooled = dg.matmul(pool, dg.gather_rows(dg.reshape(embed, (n * rows, d)), ids))
+    pooled = dg.reshape(pooled, (n, len(tag_idx), d))
+    return dg.tanh(_affine(pooled, params, "tag_tower.proj"))
 
 
-def _expert_rows(params: dict[str, Tensor], experts: Sequence[int],
-                 layers: Sequence[str]) -> dict[str, Tensor]:
-    """The ``experts`` rows of the stacked ``experts.<layer>.{w,b}`` parameters."""
-    return {f"experts.{layer}.{part}": dg.gather_rows(params[f"experts.{layer}.{part}"], experts)
-            for layer in layers for part in ("w", "b")}
+def vke_attention(field_embeddings: Tensor, params: dict[str, Tensor]) -> tuple[Tensor, Tensor]:
+    """Kernel-queried attention of every expert over field embeddings [B, m, d].
 
-
-def vke_attention(field_embeddings: Tensor, experts: Sequence[int],
-                  params: dict[str, Tensor]) -> tuple[Tensor, Tensor]:
-    """Kernel-queried attention of the given experts over field embeddings [B, m, d].
-
-    Returns (context [n, B, d], weights [n, B, m]), expert-major in the
-    order of ``experts``.
+    Returns (context [k, B, d], weights [k, B, m]), expert-major.
     """
     b, m, d = field_embeddings.shape
-    n = len(experts)
-    p = _expert_rows(params, experts, ("q_proj", "k_proj", "v_proj"))
-    kernels = dg.reshape(dg.gather_rows(params["virtual_kernels"], experts), (n, 1, d))
-    q = dg.reshape(dg.tanh(_affine(kernels, p, "experts.q_proj")), (n, 1, 1, d))
+    k = params["virtual_kernels"].shape[0]
+    kernels = dg.reshape(params["virtual_kernels"], (k, 1, d))
+    q = dg.reshape(dg.tanh(_affine(kernels, params, "experts.q_proj")), (k, 1, 1, d))
     flat = dg.reshape(field_embeddings, (b * m, d))
-    keys = dg.reshape(dg.tanh(_affine(flat, p, "experts.k_proj")), (n, b, m, d))
-    values = dg.reshape(dg.tanh(_affine(flat, p, "experts.v_proj")), (n, b, m, d))
+    keys = dg.reshape(dg.tanh(_affine(flat, params, "experts.k_proj")), (k, b, m, d))
+    values = dg.reshape(dg.tanh(_affine(flat, params, "experts.v_proj")), (k, b, m, d))
     ctx, weights = dg.scaled_dot_attention(q, keys, values)
-    return dg.reshape(ctx, (n, b, d)), dg.reshape(weights, (n, b, m))
+    return dg.reshape(ctx, (k, b, d)), dg.reshape(weights, (k, b, m))
 
 
-def vke_forward(field_embeddings: Tensor, experts: Sequence[int],
-                params: dict[str, Tensor]) -> Tensor:
-    """User embeddings [n, B, d] of the given experts: attention context through each MLP head."""
-    ctx, _ = vke_attention(field_embeddings, experts, params)
-    p = _expert_rows(params, experts, ("head1", "head2"))
-    return _affine(dg.relu(_affine(ctx, p, "experts.head1")), p, "experts.head2")
+def vke_forward(field_embeddings: Tensor, params: dict[str, Tensor]) -> Tensor:
+    """User embeddings [k, B, d] of every expert: attention context through each MLP head."""
+    ctx, _ = vke_attention(field_embeddings, params)
+    return _affine(dg.relu(_affine(ctx, params, "experts.head1")), params, "experts.head2")
 
 
-def gate_weights_for_tags(tag_embeddings: Tensor, task: Task,
-                          params: dict[str, Tensor],
-                          routing: ExpertRouting) -> Tensor:
-    """Gate distribution [B, n_task] from tag embeddings [B, d] and virtual kernels.
+def gate_weights_for_tags(tag_embeddings: Tensor, params: dict[str, Tensor],
+                          mask: Tensor | None = None) -> Tensor:
+    """Gate distributions [n_tasks, B, k] from tag embeddings [n_tasks, B, d] and the kernels.
 
-    Depends only on the tag side and the kernels; user features never
-    enter, which is what makes the serving cache exact.
+    ``mask`` (``ExpertRouting.gate_mask``) zeroes the experts a task does not route
+    to. User features never enter, which is what makes the serving cache exact.
     """
-    kernels = dg.gather_rows(params["virtual_kernels"], np.array(routing.task_experts(task)))
-    keys = dg.tanh(_affine(kernels, params, f"gate.{task.value}.k_proj"))
-    queries = dg.tanh(_affine(tag_embeddings, params, f"gate.{task.value}.q_proj"))
-    return dg.attention_weights(queries, keys)
+    keys = dg.tanh(_affine(params["virtual_kernels"], params, "gate.k_proj"))
+    queries = dg.tanh(_affine(tag_embeddings, params, "gate.q_proj"))
+    return dg.attention_weights(queries, keys, mask)
 
 
-def vkg_combine(vke_outputs: Tensor, tag_embeddings: Tensor, task: Task,
-                params: dict[str, Tensor],
-                routing: ExpertRouting) -> tuple[Tensor, Tensor]:
-    """Mix expert outputs with tag-conditioned attention weights.
+def vkg_combine(vke_outputs: Tensor, tag_embeddings: Tensor, params: dict[str, Tensor],
+                mask: Tensor | None = None) -> tuple[Tensor, Tensor]:
+    """Mix expert outputs [k, B, d] with each task's tag-conditioned gate.
 
-    ``vke_outputs`` [n, B, d] is expert-major, ordered by ascending expert
-    index within the task's routing set; with tag embeddings [B, d] the
-    result is (mixed [B, d], weights [B, n]). The expert outputs pass
-    through as values unchanged so cached mixing stays lossless.
+    With tag embeddings [n_tasks, B, d] the result is (mixed [n_tasks, B, d],
+    weights [n_tasks, B, k]). The expert outputs pass through as values
+    unchanged so cached mixing stays lossless.
     """
-    weights = gate_weights_for_tags(tag_embeddings, task, params, routing)
-    b, n = weights.shape
-    if vke_outputs.shape[:2] != (n, b):
-        raise ConfigError(f"expected {n} x {b} expert outputs for task {task.value}, "
-                          f"got {vke_outputs.shape}")
-    mixed = dg.reduce_sum(dg.mul(vke_outputs, dg.reshape(dg.transpose(weights), (n, b, 1))),
-                          axis=0)
-    return mixed, weights
+    weights = gate_weights_for_tags(tag_embeddings, params, mask)
+    n, b, k = weights.shape
+    per_expert = dg.reshape(dg.transpose(weights), (n, k, b, 1))
+    return dg.reduce_sum(dg.mul(vke_outputs, per_expert), axis=1), weights
 
 
-def score_pair(user_embedding: Tensor, tag_embedding: Tensor, task: Task,
+def score_pair(user_embedding: Tensor, tag_embedding: Tensor,
                params: dict[str, Tensor]) -> Tensor:
-    """Probabilities [B] = sigmoid(tau * cos(user, tag)) row-wise; tau is learnable per task."""
+    """Probabilities [n_tasks, B] = sigmoid(tau * cos(user, tag)); tau is learnable per task."""
     cos = dg.cosine_similarity(user_embedding, tag_embedding)
-    return dg.sigmoid(dg.mul(cos, params[f"temperature.{task.value}"]))
+    tau = params["temperature"]
+    return dg.sigmoid(dg.mul(cos, dg.reshape(tau, (tau.shape[0], 1))))
 
 
-def mvke_forward(batch: EncodedBatch, cfg: ModelConfig, params: dict[str, Tensor],
-                 tasks: Sequence[Task] = TASKS) -> dict[Task, tuple[Tensor, Tensor]]:
-    """Full mixture forward for a batch.
+def _mixture(batch: EncodedBatch, schema: FieldSchema, params: dict[str, Tensor],
+             mask: Tensor | None = None) -> tuple[Tensor, Tensor]:
+    """(probabilities [n_tasks, B], gate weights [n_tasks, B, k]) of every expert and task."""
+    experts = vke_forward(embed_user_fields(batch, params, schema), params)
+    tags = tag_tower(batch.tag_idx, batch.tag_weight, params)
+    users, gates = vkg_combine(experts, tags, params, mask)
+    return score_pair(users, tags, params), gates
 
-    Only the requested tasks' experts run, once, shared across tasks.
-    Returns ``{task: (probabilities [B], gate_weights [B, n_task])}``.
+
+def mvke_forward(batch: EncodedBatch, cfg: ModelConfig,
+                 params: dict[str, Tensor]) -> dict[Task, tuple[Tensor, Tensor]]:
+    """Full mixture forward for a batch: every expert runs once, for both tasks.
+
+    Returns ``{task: (probabilities [B], gate_weights [B, k])}``; a task's
+    gate weights are exactly 0 on the experts outside its routing set.
     """
-    routing = cfg.routing
-    fields = embed_user_fields(batch, params, cfg.schema)
-    needed = sorted({e for task in tasks for e in routing.task_experts(task)})
-    expert_out = vke_forward(fields, needed, params)
-    result: dict[Task, tuple[Tensor, Tensor]] = {}
-    for task in tasks:
-        rows = np.searchsorted(needed, routing.task_experts(task))
-        task_out = dg.gather_rows(expert_out, rows)
-        tag_emb = tag_tower(batch.tag_idx, batch.tag_weight, task, params)
-        user_emb, gates = vkg_combine(task_out, tag_emb, task, params, routing)
-        result[task] = (score_pair(user_emb, tag_emb, task, params), gates)
-    return result
+    mask = dg.raw_tensor(cfg.routing.gate_mask(params["virtual_kernels"].data.dtype))
+    probs, gates = _mixture(batch, cfg.schema, params, mask)
+    return {task: (dg.gather_rows(probs, i), dg.gather_rows(gates, i))
+            for i, task in enumerate(TASKS)}
 
 
 def two_tower_user_embedding(batch: EncodedBatch, cfg: ModelConfig,
@@ -516,11 +500,12 @@ def two_tower_user_embedding(batch: EncodedBatch, cfg: ModelConfig,
 
 
 def two_tower_forward(batch: EncodedBatch, cfg: ModelConfig,
-                      params: dict[str, Tensor], task: Task) -> Tensor:
-    """Baseline: mean field embedding -> 2-layer MLP -> cosine score."""
+                      params: dict[str, Tensor]) -> Tensor:
+    """Baseline probabilities [B]: mean field embedding -> 2-layer MLP -> cosine score."""
     user_emb = two_tower_user_embedding(batch, cfg, params)
-    tag_emb = tag_tower(batch.tag_idx, batch.tag_weight, task, params)
-    return score_pair(user_emb, tag_emb, task, params)
+    tag_emb = tag_tower(batch.tag_idx, batch.tag_weight, params)
+    probs = score_pair(dg.reshape(user_emb, (1, *user_emb.shape)), tag_emb, params)
+    return dg.reshape(probs, (batch.size,))
 
 
 # ---------------------------------------------------------------------------
@@ -532,10 +517,27 @@ def _frozen(params: dict[str, Tensor]) -> dict[str, Tensor]:
     return {name: dg.raw_tensor(t.data) for name, t in params.items()}
 
 
+def _task_view(params: dict[str, Tensor], routing: ExpertRouting,
+               task: Task) -> dict[str, Tensor]:
+    """Non-tracking one-task model: ``task``'s slice of each task-stacked parameter
+    and its experts' rows of each expert-stacked one. It needs no gate mask, runs
+    only the task's experts and gives the task's numbers of the full forward, up
+    to the rounding of sums over the experts."""
+    i, experts = TASKS.index(task), list(routing.task_experts(task))
+
+    def rows(name: str, arr: np.ndarray) -> np.ndarray:
+        if name.startswith(("tag_tower.", "gate.", "temperature")):
+            return arr[i:i + 1]
+        return arr[experts] if name.startswith(("experts.", "virtual_kernels")) else arr
+
+    return {name: dg.raw_tensor(rows(name, t.data)) for name, t in params.items()}
+
+
 class MvkeModel:
     """Mixture model wrapper: parameters, prediction, serving hooks."""
 
     kind = "mvke"
+    tasks = TASKS
 
     def __init__(self, cfg: ModelConfig, seed: int = 0,
                  params: dict[str, Tensor] | None = None):
@@ -543,37 +545,41 @@ class MvkeModel:
         self.params = params if params is not None else init_mvke_params(cfg, seed)
         self.counters = {"user_tower": 0, "tag_tower": 0}
 
-    @property
-    def tasks(self) -> tuple[Task, ...]:
-        return TASKS
-
     def reset_counters(self) -> None:
         self.counters = {"user_tower": 0, "tag_tower": 0}
 
     def predict(self, batch: EncodedBatch, task: Task) -> np.ndarray:
+        """``task``'s probabilities [B]; only the task's experts run."""
         self.counters["user_tower"] += batch.size
         self.counters["tag_tower"] += batch.size
-        out = mvke_forward(batch, self.cfg, _frozen(self.params), (task,))
-        return dg.require_finite(out[task][0].data, f"{task.value} predictions")
+        probs, _ = _mixture(batch, self.cfg.schema, _task_view(self.params, self.cfg.routing, task))
+        return dg.require_finite(probs.data[0], f"{task.value} predictions")
+
+    def predict_tasks(self, batch: EncodedBatch) -> dict[Task, np.ndarray]:
+        """Every task's probabilities [B] from one forward."""
+        self.counters["user_tower"] += batch.size
+        self.counters["tag_tower"] += batch.size * len(TASKS)
+        out = mvke_forward(batch, self.cfg, _frozen(self.params))
+        return {task: dg.require_finite(p.data, f"{task.value} predictions")
+                for task, (p, _) in out.items()}
 
     def user_expert_outputs(self, batch: EncodedBatch) -> np.ndarray:
         """All expert outputs for a batch of users, shape [B, k, d]."""
         self.counters["user_tower"] += batch.size
         params = _frozen(self.params)
-        fields = embed_user_fields(batch, params, self.cfg.schema)
-        outs = vke_forward(fields, range(self.cfg.routing.n_experts), params)
+        outs = vke_forward(embed_user_fields(batch, params, self.cfg.schema), params)
         return dg.require_finite(outs.data, "expert outputs").transpose(1, 0, 2)
 
     def tag_side(self, task: Task, tag_ids: Sequence[int]) -> tuple[np.ndarray, np.ndarray, float]:
         """Per-tag embeddings [T, d] and gate weights [T, n_task], plus tau."""
         self.counters["tag_tower"] += len(tag_ids)
         idx = np.array([int(t) for t in tag_ids], dtype=np.int64).reshape(-1, 1)
-        params = _frozen(self.params)
-        emb = tag_tower(idx, np.ones(idx.shape), task, params)
-        gates = gate_weights_for_tags(emb, task, params, self.cfg.routing)
-        tau = float(self.params[f"temperature.{task.value}"].data)
+        params = _task_view(self.params, self.cfg.routing, task)
+        emb = tag_tower(idx, np.ones(idx.shape), params)
+        gates = gate_weights_for_tags(emb, params)
+        tau = float(params["temperature"].data[0])
         what = f"{task.value} tag side"
-        return dg.require_finite(emb.data, what), dg.require_finite(gates.data, what), tau
+        return dg.require_finite(emb.data[0], what), dg.require_finite(gates.data[0], what), tau
 
 
 class TwoTowerModel:
@@ -585,12 +591,9 @@ class TwoTowerModel:
                  params: dict[str, Tensor] | None = None):
         self.cfg = cfg
         self.task = task
-        self.params = params if params is not None else init_two_tower_params(cfg, task, seed)
+        self.tasks = (task,)
+        self.params = params if params is not None else init_two_tower_params(cfg, seed)
         self.counters = {"user_tower": 0, "tag_tower": 0}
-
-    @property
-    def tasks(self) -> tuple[Task, ...]:
-        return (self.task,)
 
     def reset_counters(self) -> None:
         self.counters = {"user_tower": 0, "tag_tower": 0}
@@ -600,8 +603,11 @@ class TwoTowerModel:
             raise ConfigError(f"baseline model only serves task {self.task.value}")
         self.counters["user_tower"] += batch.size
         self.counters["tag_tower"] += batch.size
-        out = two_tower_forward(batch, self.cfg, _frozen(self.params), task)
+        out = two_tower_forward(batch, self.cfg, _frozen(self.params))
         return dg.require_finite(out.data, f"{task.value} predictions")
+
+    def predict_tasks(self, batch: EncodedBatch) -> dict[Task, np.ndarray]:
+        return {self.task: self.predict(batch, self.task)}
 
 
 # ---------------------------------------------------------------------------
@@ -646,7 +652,7 @@ def load_model(ckpt_dir):
         raise DataError(f"unknown model kind {kind!r} in {meta_path}")
     params_path = ckpt / "params.jsonl"
     params = dg.load_params(params_path)
-    built = init_mvke_params(cfg, 0) if task is None else init_two_tower_params(cfg, task, 0)
+    built = init_mvke_params(cfg, 0) if task is None else init_two_tower_params(cfg, 0)
     wrong = sorted(name for name in built.keys() | params.keys()
                    if name not in built or name not in params
                    or built[name].shape != params[name].shape)

@@ -124,17 +124,25 @@ class TaskTagCache:
                       "experts": list(self.expert_ids), "tau": self.tau})
 
     @classmethod
-    def load(cls, bin_path, index_path) -> "TaskTagCache":
+    def load(cls, bin_path, index_path, n_experts: int) -> "TaskTagCache":
+        """DataError naming the file unless the index lists distinct expert ids in
+        ``[0, n_experts)``, one per gate column, and a finite ``tau``."""
         doc, n_w, d, rows = _read_cache(bin_path, index_path, lambda n_w, d: d + n_w)
         try:
-            task, experts, tau = Task(doc["task"]), tuple(doc["experts"]), float(doc["tau"])
-        except (KeyError, TypeError, ValueError) as e:
+            task, experts, tau = Task(doc["task"]), tuple(doc["experts"]), doc["tau"]
+            if (not all(type(e) is int and 0 <= e < n_experts for e in experts)
+                    or len(set(experts)) != len(experts)):
+                raise ValueError(f"experts {list(experts)} are not distinct ids "
+                                 f"in [0, {n_experts})")
+            if type(tau) not in (int, float) or not math.isfinite(tau):
+                raise ValueError(f"tau {tau!r} is not a finite number")
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise DataError(f"cache index {index_path}: {e}") from e
         if n_w != len(experts):
             raise DataError(f"cache {bin_path} holds {n_w} gate weights per tag, "
                             f"its index lists {len(experts)} experts")
         return cls(task=task, tag_ids=doc["ids"], embeddings=rows[:, :d].copy(),
-                   gate_weights=rows[:, d:].copy(), expert_ids=experts, tau=tau)
+                   gate_weights=rows[:, d:].copy(), expert_ids=experts, tau=float(tau))
 
 
 @dataclass
@@ -363,8 +371,8 @@ def load_caches(cache_dir, tasks: Sequence[Task] = TASKS) -> tuple[UserCache, Ta
     if not user_bin.exists():
         raise DataError(f"no user cache under {cache}")
     user_cache = UserCache.load(user_bin, cache / "user_cache.json")
-    per_task = {}
-    for task in tasks:
-        per_task[task] = TaskTagCache.load(cache / f"tag_cache_{task.value}.bin",
-                                           cache / f"tag_cache_{task.value}.json")
+    per_task = {task: TaskTagCache.load(cache / f"tag_cache_{task.value}.bin",
+                                        cache / f"tag_cache_{task.value}.json",
+                                        user_cache.vectors.shape[1])
+                for task in tasks}
     return user_cache, TagCache(per_task)

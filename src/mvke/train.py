@@ -10,7 +10,7 @@ import numpy as np
 from . import diffgraph as dg
 from .diffgraph import Tensor
 from .errors import ConfigError, NumericsError, TrainingDivergenceError
-from .evaluation import auc, predict_dataset
+from .evaluation import auc, predict_all_tasks
 from .model import (EncodedBatch, ModelConfig, Task, TASKS, encode_examples,
                     mvke_forward, two_tower_forward)
 
@@ -58,21 +58,14 @@ def mtl_loss(batch: EncodedBatch, cfg: ModelConfig, params: dict[str, Tensor],
     Both tasks consume every impression in the batch with their own label;
     single-task modes return that task's BCE alone.
     """
-    tasks = mode_tasks(mode)
     if mode == "multi":
         cfg.routing.check_multi_task()
-    out = mvke_forward(batch, cfg, params, tasks)
+    out = mvke_forward(batch, cfg, params)
     total = None
-    for task in tasks:
+    for task in mode_tasks(mode):
         term = dg.bce_loss(out[task][0], batch.label(task))
         total = term if total is None else dg.add(total, term)
     return total
-
-
-def two_tower_loss(batch: EncodedBatch, cfg: ModelConfig,
-                   params: dict[str, Tensor], task: Task) -> Tensor:
-    p = two_tower_forward(batch, cfg, params, task)
-    return dg.bce_loss(p, batch.label(task))
 
 
 class Adam:
@@ -139,18 +132,7 @@ class Adam:
 def _model_loss(model, batch: EncodedBatch, mode: str) -> Tensor:
     if model.kind == "mvke":
         return mtl_loss(batch, model.cfg, model.params, mode)
-    return two_tower_loss(batch, model.cfg, model.params, model.task)
-
-
-def _fit_tasks(model, mode: str) -> tuple[Task, ...]:
-    if model.kind == "mvke":
-        return mode_tasks(mode)
-    return (model.task,)
-
-
-def _validation_aucs(model, batch: EncodedBatch, tasks) -> dict[Task, float]:
-    return {task: auc(predict_dataset(model, batch, task), batch.label(task))
-            for task in tasks}
+    return dg.bce_loss(two_tower_forward(batch, model.cfg, model.params), batch.label(model.task))
 
 
 def snapshot_params(params: dict[str, Tensor]) -> dict[str, Tensor]:
@@ -167,7 +149,7 @@ def fit(model, train_ds: Sequence, valid_ds: Sequence,
     tasks, earliest epoch winning ties. Aborts with epoch and batch index
     if the loss goes non-finite.
     """
-    tasks = _fit_tasks(model, cfg.mode)
+    tasks = mode_tasks(cfg.mode) if model.kind == "mvke" else model.tasks
     train_batch = encode_examples(train_ds, model.cfg.schema)
     valid_batch = encode_examples(valid_ds, model.cfg.schema)
     optimizer = Adam(model.params, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)
@@ -192,7 +174,8 @@ def fit(model, train_ds: Sequence, valid_ds: Sequence,
                 raise TrainingDivergenceError(epoch, b, str(e)) from e
             loss_sum += loss.item() * len(rows)
             seen += len(rows)
-        val = _validation_aucs(model, valid_batch, tasks)
+        scores = predict_all_tasks(model, valid_batch)  # one forward per chunk, all tasks
+        val = {task: auc(scores[task], valid_batch.label(task)) for task in tasks}
         row = {"epoch": epoch,
                "train_loss": loss_sum / seen,
                "ctr_auc": val.get(Task.CTR),

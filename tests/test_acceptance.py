@@ -255,12 +255,13 @@ def test_criterion_6_isolation_and_additivity():
         # expert slices 3 and 4 serve cvr only
         expert_slices = [(params2[n].data[3:], frozen[n][3:]) for n in frozen
                          if n.startswith("experts.")]
-        cvr_params = [(params2[n].data, frozen[n]) for n in frozen
-                      if n.startswith(("tag_tower.cvr.", "gate.cvr.", "temperature.cvr"))]
-        untouched = bool(expert_slices) and all(
+        # task-stacked parameters: slice 1 is cvr's, slice 0 ctr's
+        cvr_params = [(params2[n].data[1], frozen[n][1]) for n in frozen
+                      if n.startswith(("tag_tower.", "gate.", "temperature"))]
+        untouched = bool(expert_slices) and bool(cvr_params) and all(
             np.array_equal(after, before) for after, before in expert_slices + cvr_params)
-        moved = not np.array_equal(params2["tag_tower.ctr.proj.w"].data,
-                                   frozen["tag_tower.ctr.proj.w"])
+        moved = not np.array_equal(params2["tag_tower.proj.w"].data[0],
+                                   frozen["tag_tower.proj.w"][0])
     ok = additive and isolated and untouched and moved
     report(6, ok, f"additivity exact: {additive}, forward isolation bit-level: "
                   f"{isolated}, single-task step isolation: {untouched}")

@@ -182,10 +182,30 @@ def _per_field_user_tables(ckpt):
     (ckpt / "params.jsonl").write_text("\n".join(lines) + "\n")
 
 
+def _per_task_tables(ckpt):
+    """Rewrite each task-stacked parameter as one ``<group>.<task>.<rest>`` parameter per
+    task, with the per-task shapes of that layout (``b [d]``, a scalar ``temperature``)."""
+    lines = []
+    for line in (ckpt / "params.jsonl").read_text().splitlines():
+        record = json.loads(line)
+        group, _, rest = record["name"].partition(".")
+        if group not in ("tag_tower", "gate", "temperature"):
+            lines.append(line)
+            continue
+        stacked = dg.decode_array(record)
+        for task, values in zip(("ctr", "cvr"), stacked):
+            name = ".".join(filter(None, (group, task, rest)))
+            values = values.reshape(-1) if name.endswith(".b") else values
+            lines.append(json.dumps({"name": name, **dg.encode_array(values)}))
+    assert any('"temperature.cvr"' in line for line in lines)
+    (ckpt / "params.jsonl").write_text("\n".join(lines) + "\n")
+
+
 @pytest.mark.parametrize("break_it, names", [(_drop_kind, "model.json"),
                                              (_drop_last_param, "params.jsonl"),
                                              (_reshape_first_param, "params.jsonl"),
-                                             (_per_field_user_tables, "user_embed")])
+                                             (_per_field_user_tables, "user_embed"),
+                                             (_per_task_tables, "gate.ctr.")])
 def test_eval_on_broken_checkpoint_is_data_error(pipeline, tmp_path, capsys,
                                                  break_it, names):
     _, cfg, data_dir, train_dir = pipeline
@@ -200,7 +220,7 @@ def _nan_temperature(ckpt):
     lines = (ckpt / "params.jsonl").read_text().splitlines()
     for i, line in enumerate(lines):
         record = json.loads(line)
-        if record["name"] == "temperature.ctr":
+        if record["name"] == "temperature":
             value = dg.decode_array(record)
             value[...] = float("nan")
             lines[i] = json.dumps({"name": record["name"], **dg.encode_array(value)})
@@ -214,7 +234,7 @@ def test_eval_on_non_finite_checkpoint_is_data_error(pipeline, tmp_path, capsys)
                  "--ckpt", str(ckpt), "--out", str(tmp_path / "e")])
     assert code == 2
     err = capsys.readouterr().err
-    assert "params.jsonl" in err and "temperature.ctr" in err and "non-finite" in err
+    assert "params.jsonl" in err and "'temperature'" in err and "non-finite" in err
 
 
 def test_checkpoint_commands_compute_in_the_checkpoint_precision(pipeline, tmp_path):
@@ -361,10 +381,20 @@ def test_unknown_mode_is_config_error(tmp_path):
     ("gen-data", {"data": {"n_user": 250}}, "n_user"),
     ("sweep", {"eval": {"sweep_counts": ["x"]}}, "sweep_counts"),
     ("predict", {"serve": {"topk": 2.5}}, "topk"),
+    ("predict --topk 3", {"serve": 5}, "serve"),
+    ("train --vke-count 4", {"model": 5}, "model"),
+    ("train", {"train": {"learning_rate": True}}, "learning_rate"),
+    ("gen-data", {"data": {"click_offset": "1e-3"}}, "click_offset"),
+    ("train", {"model": {"tau_init": "nan"}}, "tau_init"),
+    ("train", {"train": {"learning_rate": float("nan")}}, "learning_rate"),
+    ("train", {"train": {"beta1": 10**400}}, "beta1"),
 ])
 def test_bad_config_value_is_config_error(pipeline, tmp_path, capsys, command, extra, field):
+    """``command`` is the subcommand, then any flags it runs with."""
     _, _, data_dir, train_dir = pipeline
-    argv = [command, "--config", write_config(tmp_path, extra), "--out", str(tmp_path / "o")]
+    command, *flags = command.split()
+    argv = [command, *flags, "--config", write_config(tmp_path, extra),
+            "--out", str(tmp_path / "o")]
     if command != "gen-data":
         argv += ["--data", str(data_dir)]
     if command not in ("gen-data", "train", "sweep"):

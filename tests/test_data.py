@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -143,6 +144,24 @@ def test_read_rejects_empty_tags(tmp_path):
     path.write_text('{"user_id":0,"fields":[1],"tags":[],"click":0,"conv":0}\n')
     with pytest.raises(DataError, match="line 1"):
         D.read_dataset(path)
+
+
+GOOD_ROW = {"user_id": 0, "fields": [1, [2, 3]], "tags": [2], "click": 1, "conv": 0}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("user_id", 1.7), ("user_id", True), ("user_id", "1"),
+    ("fields", [1.0, [2, 3]]), ("fields", [1, [2, True]]),
+    ("tags", [3.9]), ("tags", [False]), ("tags", 3),
+    ("click", 0.6), ("click", True), ("conv", 0.0),
+])
+def test_read_refuses_a_value_that_is_not_a_json_integer(tmp_path, key, value):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(GOOD_ROW) + "\n" + json.dumps({**GOOD_ROW, key: value}) + "\n")
+    with pytest.raises(DataError, match=r"bad\.jsonl: malformed dataset line 2"):
+        D.read_dataset(path)
+    path.write_text(json.dumps(GOOD_ROW) + "\n")
+    assert D.read_dataset(path) == [D.Example(0, (1, (2, 3)), (2,), 1, 0)]
 
 
 def test_truth_round_trip(tmp_path, small_gen):

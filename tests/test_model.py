@@ -35,6 +35,17 @@ def expert_slice(params, layer, e):
     return params[f"experts.{layer}.w"].data[e], params[f"experts.{layer}.b"].data[e, 0]
 
 
+def task_slice(params, name, task):
+    """``task``'s slice of a task-stacked parameter."""
+    return params[name].data[M.TASKS.index(task)]
+
+
+def one_expert(params, e):
+    """Expert ``e`` alone: its rows of every expert-stacked parameter, the rest as is."""
+    return {name: dg.Tensor(t.data[[e]]) if name.startswith(("experts.", "virtual_kernels"))
+            else t for name, t in params.items()}
+
+
 def field_rows(array, schema, fname):
     """Field ``fname``'s rows of a stacked ``user_embed`` array, found through its offset."""
     j = schema.field_names.index(fname)
@@ -217,29 +228,29 @@ def test_embedding_gradient_touches_only_looked_up_rows(small_cfg):
 
 def test_tag_tower_singleton(small_cfg):
     params = make_params(small_cfg)
-    out = M.tag_tower(*tag_batch(small_cfg.schema, (3,)), Task.CTR, params)
-    expected = np_tanh_affine(params["tag_tower.ctr.embed"].data[3],
-                              params["tag_tower.ctr.proj.w"].data,
-                              params["tag_tower.ctr.proj.b"].data)
-    assert out.shape == (1, 8)
-    np.testing.assert_allclose(out.data[0], expected, atol=1e-12)
+    out = M.tag_tower(*tag_batch(small_cfg.schema, (3,)), params)
+    expected = np_tanh_affine(task_slice(params, "tag_tower.embed", Task.CTR)[3],
+                              task_slice(params, "tag_tower.proj.w", Task.CTR),
+                              task_slice(params, "tag_tower.proj.b", Task.CTR)[0])
+    assert out.shape == (2, 1, 8)
+    np.testing.assert_allclose(out.data[0, 0], expected, atol=1e-12)
 
 
 def test_tag_tower_duplicates_collapse(small_cfg):
     params = make_params(small_cfg)
     np.testing.assert_array_equal(
-        M.tag_tower(*tag_batch(small_cfg.schema, (3, 3)), Task.CTR, params).data,
-        M.tag_tower(*tag_batch(small_cfg.schema, (3,)), Task.CTR, params).data)
+        M.tag_tower(*tag_batch(small_cfg.schema, (3, 3)), params).data,
+        M.tag_tower(*tag_batch(small_cfg.schema, (3,)), params).data)
 
 
 def test_tag_tower_pair_matches_oracle(small_cfg):
     params = make_params(small_cfg)
-    out = M.tag_tower(*tag_batch(small_cfg.schema, (2, 5)), Task.CVR, params)
-    table = params["tag_tower.cvr.embed"].data
+    out = M.tag_tower(*tag_batch(small_cfg.schema, (2, 5)), params)
+    table = task_slice(params, "tag_tower.embed", Task.CVR)
     expected = np_tanh_affine((table[2] + table[5]) / 2,
-                              params["tag_tower.cvr.proj.w"].data,
-                              params["tag_tower.cvr.proj.b"].data)
-    np.testing.assert_allclose(out.data[0], expected, atol=1e-12)
+                              task_slice(params, "tag_tower.proj.w", Task.CVR),
+                              task_slice(params, "tag_tower.proj.b", Task.CVR)[0])
+    np.testing.assert_allclose(out.data[1, 0], expected, atol=1e-12)
 
 
 def test_tag_tower_empty_set_is_data_error(small_cfg):
@@ -253,7 +264,7 @@ def test_tag_tower_empty_set_is_data_error(small_cfg):
 def test_vke_single_field_context_is_value_row(small_cfg):
     params = make_params(small_cfg)
     fe = dg.Tensor(np.random.default_rng(0).normal(size=(1, 1, 8)))
-    ctx, w = M.vke_attention(fe, [0], params)
+    ctx, w = M.vke_attention(fe, params)
     expected_v = np_tanh_affine(fe.data[0], *expert_slice(params, "v_proj", 0))
     np.testing.assert_allclose(ctx.data[0], expected_v, atol=1e-12)
     np.testing.assert_allclose(w.data[0], [[1.0]], atol=1e-15)
@@ -266,15 +277,15 @@ def test_identical_experts_produce_identical_outputs(small_cfg):
         params[name].data[1] = params[name].data[0]
     params["virtual_kernels"].data[1] = params["virtual_kernels"].data[0]
     fe = dg.Tensor(np.random.default_rng(1).normal(size=(1, 3, 8)))
-    np.testing.assert_array_equal(M.vke_forward(fe, [0], params).data,
-                                  M.vke_forward(fe, [1], params).data)
+    out = M.vke_forward(fe, params).data
+    np.testing.assert_array_equal(out[0], out[1])
 
 
 def test_vke_matches_step_by_step_oracle(small_cfg):
     params = make_params(small_cfg)
     rng = np.random.default_rng(2)
     fe = rng.normal(size=(3, 8))
-    got = M.vke_forward(dg.Tensor(fe[None]), [2], params).data[0, 0]
+    got = M.vke_forward(dg.Tensor(fe[None]), params).data[2, 0]
 
     # plain-loop oracle: per-input transforms, explicit softmax, MLP head
     (qw, qb), (kw, kb), (vw, vb), (w1, b1), (w2, b2) = (
@@ -300,16 +311,14 @@ def test_vke_batch_matches_single(small_cfg):
     params = make_params(small_cfg)
     rng = np.random.default_rng(3)
     fe = rng.normal(size=(4, 3, 8))
-    batched = M.vke_forward(dg.Tensor(fe), [1], params).data
+    batched = M.vke_forward(dg.Tensor(fe), params).data
     for b in range(4):
-        single = M.vke_forward(dg.Tensor(fe[b:b + 1]), [1], params).data
-        np.testing.assert_allclose(batched[0, b], single[0, 0], atol=1e-12)
-    # several experts in one call: each row block equals that expert alone
-    experts = [4, 0, 2]
-    stacked = M.vke_forward(dg.Tensor(fe), experts, params).data
-    for row, e in enumerate(experts):
-        np.testing.assert_array_equal(stacked[row],
-                                      M.vke_forward(dg.Tensor(fe), [e], params).data[0])
+        single = M.vke_forward(dg.Tensor(fe[b:b + 1]), params).data
+        np.testing.assert_allclose(batched[:, b], single[:, 0], atol=1e-12)
+    # all experts in one call: each row block equals that expert alone
+    for e in range(small_cfg.routing.n_experts):
+        np.testing.assert_array_equal(batched[e],
+                                      M.vke_forward(dg.Tensor(fe), one_expert(params, e)).data[0])
 
 
 # ---------------------------------------------------------------------------
@@ -321,52 +330,58 @@ def test_vkg_singleton_task_set(small_cfg):
     cfg = M.ModelConfig(schema=schema, routing=routing)
     params = M.init_mvke_params(cfg, seed=0)
     rng = np.random.default_rng(4)
-    outs = dg.Tensor(rng.normal(size=(1, 1, 8)))
-    tag = dg.Tensor(rng.normal(size=(1, 8)))
-    mixed, w = M.vkg_combine(outs, tag, Task.CTR, params, routing)
-    np.testing.assert_allclose(mixed.data, outs.data[0], atol=1e-15)
-    np.testing.assert_allclose(w.data, [[1.0]], atol=1e-15)
+    outs = dg.Tensor(rng.normal(size=(2, 1, 8)))
+    tag = dg.Tensor(rng.normal(size=(2, 1, 8)))
+    mixed, w = M.vkg_combine(outs, tag, params, dg.raw_tensor(routing.gate_mask()))
+    np.testing.assert_allclose(mixed.data[0], outs.data[0], atol=1e-15)
+    np.testing.assert_array_equal(w.data[0], [[1.0, 0.0]])
 
 
 def test_vkg_equal_kernels_give_uniform_weights(small_cfg):
     params = make_params(small_cfg)
     params["virtual_kernels"].data[...] = params["virtual_kernels"].data[0]
     rng = np.random.default_rng(5)
-    outs = dg.Tensor(rng.normal(size=(3, 1, 8)))
-    tag = dg.Tensor(rng.normal(size=(1, 8)))
-    mixed, w = M.vkg_combine(outs, tag, Task.CTR, params, small_cfg.routing)
-    np.testing.assert_allclose(w.data, np.full((1, 3), 1 / 3), atol=1e-12)
-    np.testing.assert_allclose(mixed.data, outs.data.mean(axis=0), atol=1e-12)
+    outs = dg.Tensor(rng.normal(size=(5, 1, 8)))
+    tag = dg.Tensor(rng.normal(size=(2, 1, 8)))
+    mixed, w = M.vkg_combine(outs, tag, params, dg.raw_tensor(small_cfg.routing.gate_mask()))
+    np.testing.assert_allclose(w.data[0], [[1 / 3] * 3 + [0.0] * 2], atol=1e-12)
+    np.testing.assert_allclose(w.data[1], [[0.0] + [1 / 4] * 4], atol=1e-12)
+    np.testing.assert_allclose(mixed.data[0], outs.data[:3].mean(axis=0), atol=1e-12)
+    np.testing.assert_allclose(mixed.data[1], outs.data[1:].mean(axis=0), atol=1e-12)
 
 
 def test_vkg_matches_attention_oracle(small_cfg):
     params = make_params(small_cfg)
     rng = np.random.default_rng(6)
-    outs = rng.normal(size=(3, 8))
+    outs = rng.normal(size=(5, 8))
     tag = rng.normal(size=8)
-    mixed, w = M.vkg_combine(dg.Tensor(outs[:, None]), dg.Tensor(tag[None]), Task.CTR,
-                             params, small_cfg.routing)
+    mixed, w = M.vkg_combine(dg.Tensor(outs[:, None]), dg.Tensor(np.stack([tag, tag])[:, None]),
+                             params, dg.raw_tensor(small_cfg.routing.gate_mask()))
 
-    p = {k: v.data for k, v in params.items()}
-    q = np.tanh(tag @ p["gate.ctr.q_proj.w"] + p["gate.ctr.q_proj.b"])
+    def ctr(name):
+        return task_slice(params, name, Task.CTR)
+
+    experts = list(small_cfg.routing.ctr_experts)
+    q = np.tanh(tag @ ctr("gate.q_proj.w") + ctr("gate.q_proj.b")[0])
     logits = []
-    for e in small_cfg.routing.ctr_experts:
-        key = np.tanh(p["virtual_kernels"][e] @ p["gate.ctr.k_proj.w"] + p["gate.ctr.k_proj.b"])
+    for e in experts:
+        key = np.tanh(params["virtual_kernels"].data[e] @ ctr("gate.k_proj.w")
+                      + ctr("gate.k_proj.b")[0])
         logits.append(float(q @ key) / math.sqrt(8.0))
     es = [math.exp(z - max(logits)) for z in logits]
     ws = np.array([e / sum(es) for e in es])
-    np.testing.assert_allclose(w.data[0], ws, atol=1e-12)
-    np.testing.assert_allclose(mixed.data[0], ws @ outs, atol=1e-12)
+    np.testing.assert_allclose(w.data[0, 0, experts], ws, atol=1e-12)
+    np.testing.assert_array_equal(np.delete(w.data[0, 0], experts), 0.0)
+    np.testing.assert_allclose(mixed.data[0, 0], ws @ outs[experts], atol=1e-12)
 
 
 def test_vkg_gate_weights_are_probabilities(small_cfg):
     params = make_params(small_cfg)
     rng = np.random.default_rng(7)
-    for task in M.TASKS:
-        emb = dg.Tensor(rng.normal(size=(6, 8)))
-        w = M.gate_weights_for_tags(emb, task, params, small_cfg.routing)
-        assert np.all(w.data >= 0.0)
-        np.testing.assert_allclose(w.data.sum(axis=1), np.ones(6), atol=1e-6)
+    emb = dg.Tensor(rng.normal(size=(2, 6, 8)))
+    w = M.gate_weights_for_tags(emb, params, dg.raw_tensor(small_cfg.routing.gate_mask()))
+    assert np.all(w.data >= 0.0)
+    np.testing.assert_allclose(w.data.sum(axis=-1), np.ones((2, 6)), atol=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -374,25 +389,26 @@ def test_vkg_gate_weights_are_probabilities(small_cfg):
 
 def test_score_identical_embeddings(small_cfg):
     params = make_params(small_cfg)  # tau initialized to 5.0
-    v = dg.Tensor(np.array([[0.3, -1.0, 0.2, 0.9, 0.1, -0.4, 0.8, 0.5]]))
-    p = M.score_pair(v, v, Task.CTR, params)
-    assert p.data[0] == pytest.approx(0.9933071490757152, abs=1e-9)
+    v = dg.Tensor(np.array([[[0.3, -1.0, 0.2, 0.9, 0.1, -0.4, 0.8, 0.5]]] * 2))
+    p = M.score_pair(v, v, params)
+    np.testing.assert_allclose(p.data, 0.9933071490757152, atol=1e-9)
 
 
 def test_score_orthogonal_embeddings(small_cfg):
     params = make_params(small_cfg)
-    a = dg.Tensor(np.array([[1.0] + [0.0] * 7]))
-    b = dg.Tensor(np.array([[0.0, 1.0] + [0.0] * 6]))
-    assert M.score_pair(a, b, Task.CTR, params).data[0] == pytest.approx(0.5, abs=1e-12)
+    a = dg.Tensor(np.array([[[1.0] + [0.0] * 7]] * 2))
+    b = dg.Tensor(np.array([[[0.0, 1.0] + [0.0] * 6]] * 2))
+    np.testing.assert_allclose(M.score_pair(a, b, params).data, 0.5, atol=1e-12)
 
 
 def test_score_tau_one_opposite_embeddings(small_cfg):
     params = make_params(small_cfg)
-    params["temperature.ctr"].data[...] = 1.0
-    a = dg.Tensor(np.array([[1.0] + [0.0] * 7]))
-    b = dg.Tensor(np.array([[-1.0] + [0.0] * 7]))
-    assert M.score_pair(a, b, Task.CTR, params).data[0] == pytest.approx(
-        0.2689414213699951, abs=1e-12)
+    params["temperature"].data[0] = 1.0  # ctr
+    a = dg.Tensor(np.array([[[1.0] + [0.0] * 7]] * 2))
+    b = dg.Tensor(np.array([[[-1.0] + [0.0] * 7]] * 2))
+    p = M.score_pair(a, b, params).data
+    assert p[0, 0] == pytest.approx(0.2689414213699951, abs=1e-12)
+    assert p[1, 0] == pytest.approx(1.0 / (1.0 + math.exp(5.0)), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +426,8 @@ def test_routing_isolation_bit_identical(small_cfg, small_batch_examples):
     for name in expert_names(params):
         params[name].data[1] += rng.normal(size=params[name].data[1].shape)
     for name, t in params.items():
-        if ".cvr" in name:
-            t.data += rng.normal(size=t.data.shape)
+        if name.startswith(("tag_tower.", "gate.", "temperature")):
+            t.data[1] += rng.normal(size=t.data[1].shape)  # the cvr slice
     params["virtual_kernels"].data[1] += 0.37
     after = M.mvke_forward(batch, cfg, params)[Task.CTR][0].data
     np.testing.assert_array_equal(before, after)
@@ -433,7 +449,7 @@ def test_shared_experts_receive_gradient_from_each_single_task_loss(
     batch = M.encode_examples(small_batch_examples, small_cfg.schema)
     for task, labels in ((Task.CTR, batch.clicks), (Task.CVR, batch.convs)):
         dg.zero_grads(params)
-        out = M.mvke_forward(batch, small_cfg, params, (task,))
+        out = M.mvke_forward(batch, small_cfg, params)
         dg.backward(dg.bce_loss(out[task][0], labels))
         for shared in small_cfg.routing.shared:
             grad = params["experts.k_proj.w"].grad
@@ -470,6 +486,65 @@ def test_mvke_batch_matches_single_example(small_cfg, small_batch_examples):
             assert full[task][0].data[i] == pytest.approx(out[task][0].data[0], abs=1e-12)
 
 
+ROUTINGS = {**{f"split{k}": M.split_routing(k) for k in range(3, 11)},
+            "default": M.five_expert_routing()}
+
+
+@pytest.mark.parametrize("routing", ROUTINGS.values(), ids=ROUTINGS.keys())
+def test_off_task_gate_weights_are_exactly_zero(small_schema, routing):
+    """The gate mask gives the experts outside a task exactly zero weight, in the
+    forward and on the cached tag side, which keeps only the task's columns."""
+    model = M.MvkeModel(M.ModelConfig(schema=small_schema, routing=routing), seed=2)
+    tags = list(range(small_schema.tag_vocab_size))
+    batch = M.encode_examples([FakeExample((1, 2, 3), (t,)) for t in tags], small_schema)
+    out = M.mvke_forward(batch, model.cfg, model.params)
+    for task in M.TASKS:
+        gates = out[task][1].data
+        experts = list(routing.task_experts(task))
+        off = [e for e in range(routing.n_experts) if e not in experts]
+        assert gates.shape == (len(tags), routing.n_experts)
+        np.testing.assert_array_equal(gates[:, off], 0.0)
+        np.testing.assert_allclose(gates.sum(axis=1), 1.0, atol=1e-12)
+        _, cached, _ = model.tag_side(task, tags)  # sums of more terms may round apart
+        np.testing.assert_allclose(cached, gates[:, experts], rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("routing", ROUTINGS.values(), ids=ROUTINGS.keys())
+def test_single_task_backward_leaves_other_task_slices_at_zero(
+        small_schema, small_batch_examples, routing):
+    cfg = M.ModelConfig(schema=small_schema, routing=routing)
+    params = M.init_mvke_params(cfg, seed=3)
+    batch = M.encode_examples(small_batch_examples, small_schema)
+    for i, task in enumerate(M.TASKS):
+        other = M.TASKS[1 - i]
+        exclusive = sorted(set(routing.task_experts(other)) - set(routing.task_experts(task)))
+        dg.zero_grads(params)
+        dg.backward(dg.bce_loss(M.mvke_forward(batch, cfg, params)[task][0],
+                                batch.label(task)))
+        zero, nonzero = [], []
+        for name, t in params.items():
+            if name.startswith(("tag_tower.", "gate.", "temperature")):
+                zero.append((f"{name}[{other.value}]", t.grad[1 - i]))
+                nonzero.append((f"{name}[{task.value}]", t.grad[i]))
+            elif name.startswith(("experts.", "virtual_kernels")):
+                zero.append((f"{name}{exclusive}", t.grad[exclusive]))
+        assert len(zero) == 19  # 8 task-stacked and 11 expert-stacked parameters
+        for what, grad in zero:
+            np.testing.assert_array_equal(grad, 0.0, err_msg=what)
+        assert any(np.any(grad != 0.0) for _, grad in nonzero)
+
+
+def test_single_task_predict_equals_the_full_forward(small_cfg, small_batch_examples):
+    # bit for bit at five experts: the masked columns only add exact zeros to the sums
+    model = M.MvkeModel(small_cfg, seed=4)
+    batch = M.encode_examples(small_batch_examples, small_cfg.schema)
+    full = model.predict_tasks(batch)
+    out = M.mvke_forward(batch, small_cfg, model.params)
+    for task in M.TASKS:
+        np.testing.assert_array_equal(model.predict(batch, task), full[task])
+        np.testing.assert_array_equal(full[task], out[task][0].data)
+
+
 def test_full_model_gradient_check(small_cfg, small_batch_examples):
     params = make_params(small_cfg)
     batch = M.encode_examples(small_batch_examples, small_cfg.schema)
@@ -493,17 +568,18 @@ def test_single_expert_loss_gradient_check(small_cfg, small_batch_examples):
         table = field_rows(params["user_embed"].data, small_cfg.schema, fname)
         table[...] = rng.normal(size=table.shape)
     batch = M.encode_examples(small_batch_examples, small_cfg.schema)
-    k = small_cfg.routing.n_experts
+    both_tasks = dg.Tensor(np.zeros((2, batch.size, small_cfg.schema.embed_dim)))
 
     def loss():
         fe = M.embed_user_fields(batch, params, small_cfg.schema)
-        out = dg.reduce_mean(M.vke_forward(fe, range(k), params), axis=0)
-        tag = M.tag_tower(batch.tag_idx, batch.tag_weight, Task.CTR, params)
-        return dg.bce_loss(M.score_pair(out, tag, Task.CTR, params), batch.clicks)
+        out = dg.add(dg.reduce_mean(M.vke_forward(fe, params), axis=0), both_tasks)
+        tags = M.tag_tower(batch.tag_idx, batch.tag_weight, params)
+        probs = M.score_pair(out, tags, params)
+        return dg.bce_loss(dg.gather_rows(probs, 0), batch.clicks)
 
     subset = {name: params[name] for name in
-              (*expert_names(params), "virtual_kernels", "tag_tower.ctr.proj.w",
-               "user_embed", "temperature.ctr")}
+              (*expert_names(params), "virtual_kernels", "tag_tower.proj.w",
+               "user_embed", "temperature")}
     assert dg.grad_check(loss, subset) <= 1e-5
 
 
@@ -512,14 +588,14 @@ def test_single_expert_loss_gradient_check(small_cfg, small_batch_examples):
 
 def test_two_tower_has_fewer_params_than_mvke(small_cfg):
     mvke_params = make_params(small_cfg)
-    tt_params = M.init_two_tower_params(small_cfg, Task.CTR, seed=0)
+    tt_params = M.init_two_tower_params(small_cfg, seed=0)
     assert M.count_params(tt_params) < M.count_params(mvke_params)
 
 
 def test_two_tower_identity_mlp_returns_field_embedding():
     schema = M.FieldSchema(user_fields=(("only", 6),), tag_vocab_size=5, embed_dim=4)
     cfg = M.ModelConfig(schema=schema, routing=M.five_expert_routing())
-    params = M.init_two_tower_params(cfg, Task.CTR, seed=0)
+    params = M.init_two_tower_params(cfg, seed=0)
     d, h = 4, cfg.hidden
     eye = np.eye(d)
     params["user_mlp.w1"].data[...] = np.concatenate([eye, -eye], axis=1)
@@ -533,9 +609,9 @@ def test_two_tower_identity_mlp_returns_field_embedding():
 
 
 def test_two_tower_matches_oracle_on_batch(small_cfg, small_batch_examples):
-    params = M.init_two_tower_params(small_cfg, Task.CVR, seed=3)
+    params = M.init_two_tower_params(small_cfg, seed=3)
     batch = M.encode_examples(small_batch_examples[:2], small_cfg.schema)
-    got = M.two_tower_forward(batch, small_cfg, params, Task.CVR).data
+    got = M.two_tower_forward(batch, small_cfg, params).data
 
     p = {k: v.data for k, v in params.items()}
     tables = [field_rows(p["user_embed"], small_cfg.schema, fname)
@@ -548,11 +624,11 @@ def test_two_tower_matches_oracle_on_batch(small_cfg, small_batch_examples):
         pooled = np.mean(rows, axis=0)
         hidden = np.maximum(pooled @ p["user_mlp.w1"] + p["user_mlp.b1"], 0.0)
         user = hidden @ p["user_mlp.w2"] + p["user_mlp.b2"]
-        tag_rows = np.mean([p["tag_tower.cvr.embed"][t] for t in sorted(set(ex.tag_set))],
+        tag_rows = np.mean([p["tag_tower.embed"][0, t] for t in sorted(set(ex.tag_set))],
                            axis=0)
-        tag = np.tanh(tag_rows @ p["tag_tower.cvr.proj.w"] + p["tag_tower.cvr.proj.b"])
+        tag = np.tanh(tag_rows @ p["tag_tower.proj.w"][0] + p["tag_tower.proj.b"][0, 0])
         cos = float(user @ tag / (np.linalg.norm(user) * np.linalg.norm(tag)))
-        expected = 1.0 / (1.0 + math.exp(-float(p["temperature.cvr"]) * cos))
+        expected = 1.0 / (1.0 + math.exp(-float(p["temperature"][0]) * cos))
         assert got[i] == pytest.approx(expected, abs=1e-10)
 
 
@@ -606,10 +682,10 @@ def test_user_fields_share_one_table_at_field_offsets(small_cfg):
 def test_load_model_refuses_a_non_finite_parameter(tmp_path, small_cfg):
     with dg.precision("f32"):
         model = M.MvkeModel(small_cfg, seed=1)
-        model.params["temperature.ctr"].data[...] = np.nan
+        model.params["temperature"].data[0] = np.nan
         M.save_model(model, tmp_path / "ckpt")
-    line = 1 + list(model.params).index("temperature.ctr")
-    with pytest.raises(DataError, match=rf"params\.jsonl.*line {line}.*'temperature\.ctr'"):
+    line = 1 + list(model.params).index("temperature")
+    with pytest.raises(DataError, match=rf"params\.jsonl.*line {line}.*'temperature'"):
         M.load_model(tmp_path / "ckpt")
 
 
@@ -645,7 +721,7 @@ def test_inference_records_no_graph(small_cfg, small_batch_examples, monkeypatch
 # non-finite inference outputs
 
 
-@pytest.mark.parametrize("name", ["temperature.ctr", "experts.head2.b"])
+@pytest.mark.parametrize("name", ["temperature", "experts.head2.b"])
 def test_non_finite_parameter_fails_inference_with_numerics_error(
         small_cfg, small_batch_examples, name):
     model = M.MvkeModel(small_cfg, seed=1)
@@ -660,7 +736,7 @@ def test_non_finite_parameter_fails_inference_with_numerics_error(
 
 def test_non_finite_tag_side_is_numerics_error(small_cfg):
     model = M.MvkeModel(small_cfg, seed=1)
-    model.params["gate.cvr.k_proj.b"].data[...] = np.nan
+    model.params["gate.k_proj.b"].data[1] = np.nan  # the cvr slice
     with pytest.raises(NumericsError, match="cvr tag side"):
         model.tag_side(Task.CVR, [0, 1, 2])
     model.tag_side(Task.CTR, [0, 1, 2])  # the other task's gate is untouched
@@ -668,7 +744,7 @@ def test_non_finite_tag_side_is_numerics_error(small_cfg):
 
 def test_non_finite_two_tower_prediction_is_numerics_error(small_cfg, small_batch_examples):
     model = M.TwoTowerModel(small_cfg, Task.CVR, seed=1)
-    model.params["temperature.cvr"].data[...] = np.nan
+    model.params["temperature"].data[...] = np.nan
     batch = M.encode_examples(small_batch_examples, small_cfg.schema)
     with pytest.raises(NumericsError, match="cvr predictions"):
         model.predict(batch, Task.CVR)

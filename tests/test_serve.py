@@ -54,7 +54,7 @@ def test_cached_vectors_match_direct_expert_outputs(served):
         one = M.encode_examples([D.Example(user_id, fields, (0,), 0, 0)], model.cfg.schema)
         fe = M.embed_user_fields(one, model.params, model.cfg.schema)
         for e in range(model.cfg.routing.n_experts):
-            direct = M.vke_forward(fe, [e], model.params).data[0, 0]
+            direct = M.vke_forward(fe, model.params).data[e, 0]
             np.testing.assert_allclose(user_cache.lookup(user_id)[e], direct,
                                        atol=1e-6)
 
@@ -393,6 +393,20 @@ def test_tag_cache_expert_count_must_match_index(saved):
     n_w, d, n = struct.unpack_from("<qqq", raw)
     path.write_bytes(struct.pack("<qqq", n_w - 1, d + 1, n) + raw[24:])
     with pytest.raises(DataError, match="tag_cache_cvr.bin"):
+        S.load_caches(saved)
+
+
+@pytest.mark.parametrize("experts", [[0, 1, 7], [0, 0, 1], [-1, 0, 1], [0, 1, 2.0], [0, 1, True]])
+def test_tag_cache_experts_must_be_distinct_ids_of_the_user_cache(saved, experts):
+    _rewrite_index(saved / "tag_cache_ctr.json", experts=experts)  # ctr routes to 3 of 5
+    with pytest.raises(DataError, match=r"tag_cache_ctr\.json.*experts"):
+        S.load_caches(saved)
+
+
+@pytest.mark.parametrize("tau", ["nan", "5.0", True, float("inf"), float("nan")])
+def test_tag_cache_tau_must_be_a_finite_number(saved, tau):
+    _rewrite_index(saved / "tag_cache_cvr.json", tau=tau)
+    with pytest.raises(DataError, match=r"tag_cache_cvr\.json"):
         S.load_caches(saved)
 
 
