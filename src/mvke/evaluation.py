@@ -64,20 +64,13 @@ class EvalReport:
         ]
 
 
-def _chunks(batch: EncodedBatch) -> Iterable[EncodedBatch]:
-    for start in range(0, batch.size, EVAL_BATCH):
-        yield batch.slice(np.arange(start, min(start + EVAL_BATCH, batch.size)))
-
-
 def predict_dataset(model, batch: EncodedBatch, task: Task) -> np.ndarray:
-    """``task``'s scores for every row of a pre-encoded dataset, in fixed-size chunks."""
-    return np.concatenate([model.predict(chunk, task) for chunk in _chunks(batch)])
-
-
-def predict_all_tasks(model, batch: EncodedBatch) -> dict[Task, np.ndarray]:
-    """Every task's scores for every row, from one forward per chunk."""
-    chunks = [model.predict_tasks(chunk) for chunk in _chunks(batch)]
-    return {task: np.concatenate([c[task] for c in chunks]) for task in model.tasks}
+    """Scores for every row of a pre-encoded dataset, in fixed-size chunks."""
+    chunks = []
+    for start in range(0, batch.size, EVAL_BATCH):
+        rows = np.arange(start, min(start + EVAL_BATCH, batch.size))
+        chunks.append(model.predict(batch.slice(rows), task))
+    return np.concatenate(chunks)
 
 
 def evaluate(model, dataset: Sequence, tasks: Iterable[Task] | None = None,
@@ -132,14 +125,17 @@ def export_gate_weights(model: MvkeModel, tag_ids: Sequence[int] | None = None,
     """
     if tag_ids is None:
         tag_ids = range(model.cfg.schema.tag_vocab_size)
-    rows, n_experts = [], model.cfg.routing.n_experts
+    rows = []
     for task in tasks:
         experts = model.cfg.routing.task_experts(task)
         _, gates, _ = model.tag_side(task, list(tag_ids))
-        for tag, weights in zip(tag_ids, gates.tolist()):
-            by_expert = dict(zip(experts, weights))
-            rows.append({"task": task.value, "tag_id": int(tag),
-                         **{f"expert_{e}": by_expert.get(e) for e in range(n_experts)}})
+        for i, tag in enumerate(tag_ids):
+            row: dict = {"task": task.value, "tag_id": int(tag)}
+            for e in range(model.cfg.routing.n_experts):
+                row[f"expert_{e}"] = None
+            for col, e in enumerate(experts):
+                row[f"expert_{e}"] = float(gates[i, col])
+            rows.append(row)
     return rows
 
 

@@ -293,6 +293,12 @@ def encode_examples(examples: Sequence, schema: FieldSchema) -> EncodedBatch:
 # parameter initialization
 
 
+# Name prefixes of the parameters with a leading task axis and of those with a
+# leading expert axis; every other parameter is shared whole.
+TASK_STACKED = ("tag_tower.", "gate.", "temperature")
+EXPERT_STACKED = ("experts.", "virtual_kernels")
+
+
 def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     limit = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
@@ -526,9 +532,9 @@ def _task_view(params: dict[str, Tensor], routing: ExpertRouting,
     i, experts = TASKS.index(task), list(routing.task_experts(task))
 
     def rows(name: str, arr: np.ndarray) -> np.ndarray:
-        if name.startswith(("tag_tower.", "gate.", "temperature")):
+        if name.startswith(TASK_STACKED):
             return arr[i:i + 1]
-        return arr[experts] if name.startswith(("experts.", "virtual_kernels")) else arr
+        return arr[experts] if name.startswith(EXPERT_STACKED) else arr
 
     return {name: dg.raw_tensor(rows(name, t.data)) for name, t in params.items()}
 
@@ -554,14 +560,6 @@ class MvkeModel:
         self.counters["tag_tower"] += batch.size
         probs, _ = _mixture(batch, self.cfg.schema, _task_view(self.params, self.cfg.routing, task))
         return dg.require_finite(probs.data[0], f"{task.value} predictions")
-
-    def predict_tasks(self, batch: EncodedBatch) -> dict[Task, np.ndarray]:
-        """Every task's probabilities [B] from one forward."""
-        self.counters["user_tower"] += batch.size
-        self.counters["tag_tower"] += batch.size * len(TASKS)
-        out = mvke_forward(batch, self.cfg, _frozen(self.params))
-        return {task: dg.require_finite(p.data, f"{task.value} predictions")
-                for task, (p, _) in out.items()}
 
     def user_expert_outputs(self, batch: EncodedBatch) -> np.ndarray:
         """All expert outputs for a batch of users, shape [B, k, d]."""
@@ -605,9 +603,6 @@ class TwoTowerModel:
         self.counters["tag_tower"] += batch.size
         out = two_tower_forward(batch, self.cfg, _frozen(self.params))
         return dg.require_finite(out.data, f"{task.value} predictions")
-
-    def predict_tasks(self, batch: EncodedBatch) -> dict[Task, np.ndarray]:
-        return {self.task: self.predict(batch, self.task)}
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import numpy as np
 from . import diffgraph as dg
 from .diffgraph import Tensor
 from .errors import ConfigError, NumericsError, TrainingDivergenceError
-from .evaluation import auc, predict_all_tasks
+from .evaluation import auc, predict_dataset
 from .model import (EncodedBatch, ModelConfig, Task, TASKS, encode_examples,
                     mvke_forward, two_tower_forward)
 
@@ -174,8 +174,8 @@ def fit(model, train_ds: Sequence, valid_ds: Sequence,
                 raise TrainingDivergenceError(epoch, b, str(e)) from e
             loss_sum += loss.item() * len(rows)
             seen += len(rows)
-        scores = predict_all_tasks(model, valid_batch)  # one forward per chunk, all tasks
-        val = {task: auc(scores[task], valid_batch.label(task)) for task in tasks}
+        val = {task: auc(predict_dataset(model, valid_batch, task), valid_batch.label(task))
+               for task in tasks}
         row = {"epoch": epoch,
                "train_loss": loss_sum / seen,
                "ctr_auc": val.get(Task.CTR),

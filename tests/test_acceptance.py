@@ -257,7 +257,7 @@ def test_criterion_6_isolation_and_additivity():
                          if n.startswith("experts.")]
         # task-stacked parameters: slice 1 is cvr's, slice 0 ctr's
         cvr_params = [(params2[n].data[1], frozen[n][1]) for n in frozen
-                      if n.startswith(("tag_tower.", "gate.", "temperature"))]
+                      if n.startswith(M.TASK_STACKED)]
         untouched = bool(expert_slices) and bool(cvr_params) and all(
             np.array_equal(after, before) for after, before in expert_slices + cvr_params)
         moved = not np.array_equal(params2["tag_tower.proj.w"].data[0],

@@ -42,7 +42,7 @@ def task_slice(params, name, task):
 
 def one_expert(params, e):
     """Expert ``e`` alone: its rows of every expert-stacked parameter, the rest as is."""
-    return {name: dg.Tensor(t.data[[e]]) if name.startswith(("experts.", "virtual_kernels"))
+    return {name: dg.Tensor(t.data[[e]]) if name.startswith(M.EXPERT_STACKED)
             else t for name, t in params.items()}
 
 
@@ -426,7 +426,7 @@ def test_routing_isolation_bit_identical(small_cfg, small_batch_examples):
     for name in expert_names(params):
         params[name].data[1] += rng.normal(size=params[name].data[1].shape)
     for name, t in params.items():
-        if name.startswith(("tag_tower.", "gate.", "temperature")):
+        if name.startswith(M.TASK_STACKED):
             t.data[1] += rng.normal(size=t.data[1].shape)  # the cvr slice
     params["virtual_kernels"].data[1] += 0.37
     after = M.mvke_forward(batch, cfg, params)[Task.CTR][0].data
@@ -523,10 +523,10 @@ def test_single_task_backward_leaves_other_task_slices_at_zero(
                                 batch.label(task)))
         zero, nonzero = [], []
         for name, t in params.items():
-            if name.startswith(("tag_tower.", "gate.", "temperature")):
+            if name.startswith(M.TASK_STACKED):
                 zero.append((f"{name}[{other.value}]", t.grad[1 - i]))
                 nonzero.append((f"{name}[{task.value}]", t.grad[i]))
-            elif name.startswith(("experts.", "virtual_kernels")):
+            elif name.startswith(M.EXPERT_STACKED):
                 zero.append((f"{name}{exclusive}", t.grad[exclusive]))
         assert len(zero) == 19  # 8 task-stacked and 11 expert-stacked parameters
         for what, grad in zero:
@@ -538,11 +538,24 @@ def test_single_task_predict_equals_the_full_forward(small_cfg, small_batch_exam
     # bit for bit at five experts: the masked columns only add exact zeros to the sums
     model = M.MvkeModel(small_cfg, seed=4)
     batch = M.encode_examples(small_batch_examples, small_cfg.schema)
-    full = model.predict_tasks(batch)
     out = M.mvke_forward(batch, small_cfg, model.params)
     for task in M.TASKS:
-        np.testing.assert_array_equal(model.predict(batch, task), full[task])
-        np.testing.assert_array_equal(full[task], out[task][0].data)
+        np.testing.assert_array_equal(model.predict(batch, task), out[task][0].data)
+
+
+def test_stacked_prefixes_name_every_parameter_with_a_task_or_expert_axis(small_cfg):
+    """Single-task views slice parameters by these prefixes; a parameter they miss
+    or misname would be sliced wrongly without an error."""
+    k = small_cfg.routing.n_experts
+    for name, t in make_params(small_cfg).items():
+        task_axis, expert_axis = name.startswith(M.TASK_STACKED), name.startswith(M.EXPERT_STACKED)
+        assert not (task_axis and expert_axis), name
+        if task_axis:
+            assert t.shape[0] == len(M.TASKS), name
+        elif expert_axis:
+            assert t.shape[0] == k, name
+        else:
+            assert name == "user_embed"
 
 
 def test_full_model_gradient_check(small_cfg, small_batch_examples):

@@ -245,7 +245,7 @@ def test_single_task_step_leaves_other_task_params_untouched(tiny_data):
         if name.startswith("experts."):
             untouched.append((f"{name}[3:5]", after[3:], before[3:]))
             moved.append((f"{name}[0]", after[0], before[0]))
-        elif name.startswith(("tag_tower.", "gate.", "temperature")):
+        elif name.startswith(M.TASK_STACKED):
             untouched.append((f"{name}[1]", after[1], before[1]))
             if name.startswith("tag_tower."):
                 moved.append((f"{name}[0]", after[0], before[0]))
