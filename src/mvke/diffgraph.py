@@ -3,7 +3,8 @@
 A small numpy-backed engine. Its primitives, each one graph node with a
 hand-written gradient, are ``add``, ``mul``, ``matmul``, ``affine`` (``x @ W + b``),
 ``transpose``, ``reshape``, ``reduce_sum``, ``reduce_mean``, ``tanh``, ``relu``,
-``sigmoid``, ``softmax``, ``gather_rows``, ``cosine_similarity`` and ``bce_loss``;
+``sigmoid``, ``softmax``, ``gather_rows``, ``gather_mix`` (rows gathered through a
+shared index and mixed by weights), ``cosine_similarity`` and ``bce_loss``;
 attention is composed of them. Plus a finite-difference gradient checker and a
 line-JSON checkpoint format.
 
@@ -150,12 +151,19 @@ def _node(arr: np.ndarray, parents: tuple[Tensor, ...], grad_fn: Callable) -> Te
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a broadcast gradient back down to the original shape."""
+    """Sum a broadcast gradient back down to the original shape.
+
+    The sum over the second-to-last axis (a stacked bias ``[k, 1, q]``) is a
+    ones-row matmul: numpy's own sum over a middle axis is more than 10x slower.
+    """
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
     for axis, dim in enumerate(shape):
         if dim == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
+            if axis == grad.ndim - 2:
+                grad = np.ones((1, grad.shape[axis]), dtype=grad.dtype) @ grad
+            else:
+                grad = grad.sum(axis=axis, keepdims=True)
     return grad
 
 
@@ -384,24 +392,88 @@ def gather_rows(table: Tensor, indices) -> Tensor:
         raise DataError(f"gather_rows index out of range for table with {rows} rows")
     if idx.shape == (rows,) and np.array_equal(idx, np.arange(rows)):
         return table
-    out = table.data[idx]
+    out = np.take(table.data, idx, axis=0)
 
     def grad_fn(g):
         flat = idx.reshape(-1)
         g = g.reshape(len(flat), *table.data.shape[1:])
         dt = np.zeros_like(table.data)
-        # ids in the narrowest unsigned type that holds them sort by radix
-        order = np.argsort(flat.astype(np.min_scalar_type(rows - 1)), kind="stable")
-        ids = flat[order]
-        new_id = ids[1:] != ids[:-1]
-        if new_id.all():
+        order, ids, starts = _sorted_runs(flat, rows)
+        if len(ids) == len(flat):
             dt[flat] = g
         else:
-            starts = np.flatnonzero(np.concatenate(([True], new_id)))
-            dt[ids[starts]] = np.add.reduceat(np.take(g, order, axis=0), starts, axis=0)
+            dt[ids] = _run_sums(np.take(g, order, axis=0), starts)
         return (dt,)
 
     return _node(out, (table,), grad_fn)
+
+
+def _sorted_runs(flat: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(order, ids, starts)``: the stable order that sorts ``flat``, its distinct
+    ids in increasing order, and where each id's run starts in ``flat[order]``.
+
+    ``_run_sums(x[order], starts)`` then sums the entries of ``x`` per id.
+    """
+    # ids in the narrowest unsigned type that holds them sort by radix
+    order = np.argsort(flat.astype(np.min_scalar_type(rows - 1)), kind="stable")
+    ids = flat[order]
+    first = np.ones(len(ids), dtype=bool)
+    np.not_equal(ids[1:], ids[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    return order, ids[starts], starts
+
+
+def _run_sums(x: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Sums over axis 0 of the runs of ``x`` that begin at ``starts``.
+
+    A run of one row is its own sum; only longer runs go through
+    ``np.add.reduceat``, which costs about a microsecond per run.
+    """
+    lengths = np.diff(starts, append=len(x))
+    sums = x[starts]
+    many = lengths > 1
+    if many.any():
+        sums[many] = np.add.reduceat(x[np.repeat(many, lengths)],
+                                     np.cumsum(lengths[many]) - lengths[many], axis=0)
+    return sums
+
+
+def gather_mix(weights: Tensor, values: Tensor, index) -> Tensor:
+    """``out[k, b] = sum_j weights[k, b, j] * values[k, index[b, j]]``: each of
+    ``k`` tables ``values [k, U, e]`` mixed through one shared ``index [B, m]``
+    by its own ``weights [k, B, m]``; the result has shape ``[k, B, e]``.
+
+    One node for gathering rows and taking their weighted sum. Its gradient
+    sorts ``index`` once for all ``k`` tables and sums the contributions to
+    each row in one pass over the sorted runs.
+    """
+    weights, values = as_tensor(weights), as_tensor(values)
+    idx = np.asarray(index)
+    if not np.issubdtype(idx.dtype, np.integer):
+        raise DataError("gather_mix index must be integers")
+    if (weights.ndim != 3 or values.ndim != 3 or idx.ndim != 2
+            or weights.shape != (values.shape[0], *idx.shape)):
+        raise ConfigError(f"gather_mix shape mismatch: weights {weights.shape}, "
+                          f"values {values.shape}, index {idx.shape}")
+    k, rows, e = values.shape
+    if idx.size and (idx.min() < 0 or idx.max() >= rows):
+        raise DataError(f"gather_mix index out of range for {rows} rows")
+    picked = np.take(values.data, idx, axis=1)  # [k, B, m, e]
+    out = (weights.data[:, :, None, :] @ picked)[:, :, 0]
+
+    def grad_fn(g):
+        dw = np.einsum("kbme,kbe->kbm", picked, g) if weights.requires_grad else None
+        dv = None
+        if values.requires_grad:
+            order, ids, starts = _sorted_runs(idx.reshape(-1), rows)
+            # [B*m, k, e]: each (example, column)'s weighted output gradient, in row order
+            parts = np.take(np.swapaxes(g, 0, 1), order // idx.shape[1], axis=0)
+            parts *= np.take(weights.data.reshape(k, -1), order, axis=1).T[:, :, None]
+            dv = np.zeros_like(values.data)
+            dv[:, ids] = np.swapaxes(_run_sums(parts, starts), 0, 1)
+        return dw, dv
+
+    return _node(out, (weights, values), grad_fn)
 
 
 def cosine_similarity(a: Tensor, b: Tensor) -> Tensor:

@@ -390,20 +390,38 @@ def _affine(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
 
 
 def embed_user_fields(batch: EncodedBatch, params: dict[str, Tensor],
-                      schema: FieldSchema) -> Tensor:
-    """Field embeddings [B, m, d]; a multi-valued field is mean-pooled into one row.
+                      schema: FieldSchema) -> tuple[Tensor, np.ndarray]:
+    """The batch's distinct field rows [U, d] and the inverse [B, m] that names
+    the row of each (example, field) pair.
 
-    Field ``j``'s ids count from row ``field_offsets[j]`` of ``user_embed``. All
-    columns are gathered at once, then pooled by one matmul with the constant
-    [B, m, C] weight matrix.
+    Field ``j``'s ids count from row ``field_offsets[j]`` of ``user_embed``. A
+    field one id wide in this batch gives one row per distinct id, found for
+    all such fields by one 1-D ``np.unique``; a wider field gives one
+    mean-pooled row per example. Each row is the weighted sum of a bag of at
+    most ``W`` table rows (the widest field), so all rows come from one gather
+    and one matmul with the constant [U, 1, W] bag weights.
     """
     table = params["user_embed"]
-    widths = [i.shape[1] for i in batch.field_idx]
-    cols = np.concatenate(batch.field_idx, axis=1) + np.repeat(schema.field_offsets, widths)
-    pool = np.zeros((batch.size, len(widths), cols.shape[1]), dtype=table.data.dtype)
-    pool[:, np.repeat(np.arange(len(widths)), widths), np.arange(cols.shape[1])] = \
-        np.concatenate(batch.field_weight, axis=1)
-    return dg.matmul(dg.raw_tensor(pool), dg.gather_rows(table, cols))
+    size = batch.size
+    widths = [idx.shape[1] for idx in batch.field_idx]
+    single = [j for j, width in enumerate(widths) if width == 1]
+    pooled = [j for j, width in enumerate(widths) if width > 1]
+    firsts = np.column_stack([idx[:, 0] for idx in batch.field_idx]) + schema.field_offsets
+    distinct, found = np.unique(firsts[:, single], return_inverse=True)
+    inverse = np.empty((size, len(widths)), dtype=np.int64)
+    inverse[:, single] = found.reshape(size, len(single))
+
+    n = len(distinct)
+    bag_ids = np.zeros((n + size * len(pooled), max(widths)), dtype=np.int64)
+    bag_weights = np.zeros(bag_ids.shape, dtype=table.data.dtype)
+    bag_ids[:n, 0], bag_weights[:n, 0] = distinct, 1.0
+    for r, j in enumerate(pooled):
+        own = np.arange(n + r * size, n + (r + 1) * size)  # this field's row of each example
+        bag_ids[own, :widths[j]] = batch.field_idx[j] + schema.field_offsets[j]
+        bag_weights[own, :widths[j]] = batch.field_weight[j]
+        inverse[:, j] = own
+    rows = dg.matmul(dg.raw_tensor(bag_weights[:, None, :]), dg.gather_rows(table, bag_ids))
+    return dg.reshape(rows, (len(bag_ids), schema.embed_dim)), inverse
 
 
 def tag_tower(tag_idx: np.ndarray, tag_weight: np.ndarray,
@@ -418,25 +436,31 @@ def tag_tower(tag_idx: np.ndarray, tag_weight: np.ndarray,
     return dg.tanh(_affine(pooled, params, "tag_tower.proj"))
 
 
-def vke_attention(field_embeddings: Tensor, params: dict[str, Tensor]) -> tuple[Tensor, Tensor]:
-    """Kernel-queried attention of every expert over field embeddings [B, m, d].
+def vke_attention(rows: Tensor, inverse: np.ndarray,
+                  params: dict[str, Tensor]) -> tuple[Tensor, Tensor]:
+    """Kernel-queried attention of every expert over the field rows of each example.
 
+    ``rows [U, d]`` and ``inverse [B, m]`` are ``embed_user_fields``' output:
+    keys, values and scores are computed once per distinct row ([k, U, .]),
+    and each example's [k, m] scores and values are taken through the inverse.
     Returns (context [k, B, d], weights [k, B, m]), expert-major.
     """
-    b, m, d = field_embeddings.shape
+    u, d = rows.shape
     k = params["virtual_kernels"].shape[0]
     kernels = dg.reshape(params["virtual_kernels"], (k, 1, d))
-    q = dg.reshape(dg.tanh(_affine(kernels, params, "experts.q_proj")), (k, 1, 1, d))
-    flat = dg.reshape(field_embeddings, (b * m, d))
-    keys = dg.reshape(dg.tanh(_affine(flat, params, "experts.k_proj")), (k, b, m, d))
-    values = dg.reshape(dg.tanh(_affine(flat, params, "experts.v_proj")), (k, b, m, d))
-    ctx, weights = dg.scaled_dot_attention(q, keys, values)
-    return dg.reshape(ctx, (k, b, d)), dg.reshape(weights, (k, b, m))
+    q = dg.reshape(dg.tanh(_affine(kernels, params, "experts.q_proj")), (k, d, 1))
+    keys = dg.tanh(_affine(rows, params, "experts.k_proj"))  # [k, U, d]
+    values = dg.tanh(_affine(rows, params, "experts.v_proj"))
+    scale = dg.raw_tensor(np.asarray(1.0 / math.sqrt(d), dtype=keys.data.dtype))
+    scores = dg.reshape(dg.mul(dg.matmul(keys, q), scale), (k * u, 1))
+    ids = inverse + u * np.arange(k).reshape(k, 1, 1)  # [k, B, m] in the flattened scores
+    weights = dg.softmax(dg.reshape(dg.gather_rows(scores, ids), ids.shape), axis=-1)
+    return dg.gather_mix(weights, values, inverse), weights
 
 
-def vke_forward(field_embeddings: Tensor, params: dict[str, Tensor]) -> Tensor:
+def vke_forward(rows: Tensor, inverse: np.ndarray, params: dict[str, Tensor]) -> Tensor:
     """User embeddings [k, B, d] of every expert: attention context through each MLP head."""
-    ctx, _ = vke_attention(field_embeddings, params)
+    ctx, _ = vke_attention(rows, inverse, params)
     return _affine(dg.relu(_affine(ctx, params, "experts.head1")), params, "experts.head2")
 
 
@@ -477,7 +501,7 @@ def score_pair(user_embedding: Tensor, tag_embedding: Tensor,
 def _mixture(batch: EncodedBatch, schema: FieldSchema, params: dict[str, Tensor],
              mask: Tensor | None = None) -> tuple[Tensor, Tensor]:
     """(probabilities [n_tasks, B], gate weights [n_tasks, B, k]) of every expert and task."""
-    experts = vke_forward(embed_user_fields(batch, params, schema), params)
+    experts = vke_forward(*embed_user_fields(batch, params, schema), params)
     tags = tag_tower(batch.tag_idx, batch.tag_weight, params)
     users, gates = vkg_combine(experts, tags, params, mask)
     return score_pair(users, tags, params), gates
@@ -499,8 +523,8 @@ def mvke_forward(batch: EncodedBatch, cfg: ModelConfig,
 def two_tower_user_embedding(batch: EncodedBatch, cfg: ModelConfig,
                              params: dict[str, Tensor]) -> Tensor:
     """Baseline user tower [B, d]: mean field embedding through a 2-layer MLP."""
-    fields = embed_user_fields(batch, params, cfg.schema)
-    pooled = dg.reduce_mean(fields, axis=1)
+    rows, inverse = embed_user_fields(batch, params, cfg.schema)
+    pooled = dg.reduce_mean(dg.gather_rows(rows, inverse), axis=1)
     hidden = dg.relu(dg.affine(pooled, params["user_mlp.w1"], params["user_mlp.b1"]))
     return dg.affine(hidden, params["user_mlp.w2"], params["user_mlp.b2"])
 
@@ -565,7 +589,7 @@ class MvkeModel:
         """All expert outputs for a batch of users, shape [B, k, d]."""
         self.counters["user_tower"] += batch.size
         params = _frozen(self.params)
-        outs = vke_forward(embed_user_fields(batch, params, self.cfg.schema), params)
+        outs = vke_forward(*embed_user_fields(batch, params, self.cfg.schema), params)
         return dg.require_finite(outs.data, "expert outputs").transpose(1, 0, 2)
 
     def tag_side(self, task: Task, tag_ids: Sequence[int]) -> tuple[np.ndarray, np.ndarray, float]:

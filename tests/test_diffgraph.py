@@ -1,5 +1,6 @@
 import json
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -314,13 +315,13 @@ PRIMITIVE_CASES = [
     "matmul", "add_bias", "mul", "tanh", "relu", "sigmoid",
     "softmax", "gather", "mean_axis", "cosine", "bce", "attention",
     "matmul_batched", "matmul_broadcast", "transpose_last_two", "gather_3d",
-    "attention_batched", "affine", "affine_stacked", "gather_repeated",
+    "attention_batched", "affine", "affine_stacked", "gather_repeated", "gather_mix",
 ]
 
 
 @pytest.mark.parametrize("case", PRIMITIVE_CASES)
 def test_grad_check_per_primitive(case):
-    rng = np.random.default_rng(hash(case) % 2**31)
+    rng = np.random.default_rng(zlib.crc32(case.encode()))
     a = t(rng.normal(size=(3, 4)), rg=True)
     b = t(rng.normal(size=(4, 3)), rg=True)
     v = t(rng.normal(size=(3, 4)) * 0.5 + 1.5, rg=True)  # positive, away from 0
@@ -404,6 +405,13 @@ def test_grad_check_per_primitive(case):
         idx = np.array([[2, 0, 2], [2, 1, 0], [0, 2, 2]])
         f = lambda: dg.reduce_sum(dg.tanh(dg.mul(dg.gather_rows(a, idx), v.data[0])))
         params = {"a": a}
+    elif case == "gather_mix":
+        # row 1 twice in one example and in two examples; row 2 never picked
+        w = t(rng.normal(size=(2, 3, 2)), rg=True)
+        x = t(rng.normal(size=(2, 4, 3)), rg=True)
+        idx = np.array([[1, 1], [0, 3], [3, 1]])
+        f = lambda: dg.reduce_sum(dg.tanh(dg.gather_mix(w, x, idx)))
+        params = {"w": w, "x": x}
 
     assert dg.grad_check(f, params) <= 1e-5
 
@@ -483,6 +491,58 @@ def test_identity_gather_passes_gradients_through_unchanged():
     # a reordering or a subset is a real gather
     assert dg.gather_rows(table, np.array([1, 0, 2, 3])) is not table
     assert dg.gather_rows(table, np.arange(3)) is not table
+
+
+@pytest.mark.parametrize("precision, dtype, rtol", [("f32", np.float32, 1e-5),
+                                                    ("f64", np.float64, 1e-12)])
+def test_gather_mix_matches_loop_and_add_at_references(precision, dtype, rtol):
+    rng = np.random.default_rng(26)
+    with dg.precision(precision):
+        w = dg.Tensor(rng.normal(size=(3, 50, 4)), requires_grad=True)
+        x = dg.Tensor(rng.normal(size=(3, 40, 5)), requires_grad=True)
+        idx = rng.integers(0, 30, size=(50, 4))  # repeats within and across rows; 30.. never hit
+        out = dg.gather_mix(w, x, idx)
+        g = rng.normal(size=out.shape).astype(dtype)
+        dw, dx = out._grad_fn(g)
+    expected = np.zeros(out.shape)
+    expected_dw = np.zeros(w.shape)
+    expected_dx = np.zeros(x.shape)
+    for e in range(3):
+        for b in range(50):
+            for j in range(4):
+                expected[e, b] += w.data[e, b, j] * x.data[e, idx[b, j]]
+                expected_dw[e, b, j] = g[e, b] @ x.data[e, idx[b, j]]
+        contributions = w.data[e][..., None] * g[e][:, None]  # [50, 4, 5]
+        np.add.at(expected_dx[e], idx.reshape(-1), contributions.reshape(-1, 5))
+    for got, want in ((out.data, expected), (dw, expected_dw), (dx, expected_dx)):
+        assert got.dtype == dtype
+        np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol)
+    assert np.all(dx[:, 30:] == 0.0)
+
+
+def test_gather_mix_constant_weights_get_no_gradient():
+    rng = np.random.default_rng(27)
+    w = t(rng.normal(size=(2, 3, 2)))
+    x = t(rng.normal(size=(2, 4, 3)), rg=True)
+    out = dg.gather_mix(w, x, np.array([[0, 1], [2, 3], [1, 1]]))
+    dw, dx = out._grad_fn(np.ones(out.shape))
+    assert dw is None and dx.shape == x.shape
+
+
+@pytest.mark.parametrize("w_shape, x_shape, idx_shape", [
+    ((2, 3, 2), (3, 4, 5), (3, 2)),  # weights and values disagree on k
+    ((2, 3, 2), (2, 4, 5), (3, 3)),  # index is not [B, m] of the weights
+    ((3, 2), (2, 4, 5), (3, 2)),
+])
+def test_gather_mix_shape_mismatch_is_config_error(w_shape, x_shape, idx_shape):
+    with pytest.raises(ConfigError, match="gather_mix"):
+        dg.gather_mix(t(np.ones(w_shape)), t(np.ones(x_shape)), np.zeros(idx_shape, dtype=int))
+
+
+@pytest.mark.parametrize("idx", [np.array([[0, 4]]), np.array([[-1, 0]]), np.array([[0.0, 1.0]])])
+def test_gather_mix_bad_index_is_data_error(idx):
+    with pytest.raises(DataError, match="gather_mix"):
+        dg.gather_mix(t(np.ones((2, 1, 2))), t(np.ones((2, 4, 3))), idx)
 
 
 @pytest.mark.parametrize("op", ["matmul", "affine"])

@@ -58,6 +58,17 @@ def one_example(schema, field_values=(1, 2, 3), tags=(1,)):
     return M.encode_examples([FakeExample(field_values, tags)], schema)
 
 
+def pair_rows(fe):
+    """Field embeddings ``fe [B, m, d]`` as expert inputs: one row per (example, field) pair."""
+    b, m, d = fe.shape
+    return dg.Tensor(fe.reshape(b * m, d)), np.arange(b * m).reshape(b, m)
+
+
+def per_pair(rows, inverse):
+    """``embed_user_fields``' output expanded back to [B, m, d]."""
+    return rows.data[inverse]
+
+
 def tag_batch(schema, tags):
     batch = one_example(schema, tags=tags)
     return batch.tag_idx, batch.tag_weight
@@ -114,19 +125,83 @@ def test_model_config_json_round_trip(small_cfg):
 
 def test_embed_single_field_is_table_row(small_cfg):
     params = make_params(small_cfg)
-    out = M.embed_user_fields(one_example(small_cfg.schema), params, small_cfg.schema)
+    out = per_pair(*M.embed_user_fields(one_example(small_cfg.schema), params, small_cfg.schema))
     assert out.shape == (1, 3, 8)
     table = params["user_embed"].data
-    np.testing.assert_array_equal(out.data[0, 0], field_rows(table, small_cfg.schema, "color")[1])
-    np.testing.assert_array_equal(out.data[0, 1], field_rows(table, small_cfg.schema, "size")[2])
+    np.testing.assert_array_equal(out[0, 0], field_rows(table, small_cfg.schema, "color")[1])
+    np.testing.assert_array_equal(out[0, 1], field_rows(table, small_cfg.schema, "size")[2])
 
 
 def test_embed_multivalued_field_mean_pools(small_cfg):
     params = make_params(small_cfg)
     batch = one_example(small_cfg.schema, ((0, 2), 1, 3))
-    out = M.embed_user_fields(batch, params, small_cfg.schema)
+    out = per_pair(*M.embed_user_fields(batch, params, small_cfg.schema))
     table = field_rows(params["user_embed"].data, small_cfg.schema, "color")
-    np.testing.assert_allclose(out.data[0, 0], (table[0] + table[2]) / 2, atol=1e-15)
+    np.testing.assert_allclose(out[0, 0], (table[0] + table[2]) / 2, atol=1e-15)
+
+
+def _per_pair_oracle(examples, schema, params):
+    """Expert contexts [k, B, d], weights [k, B, m] and outputs [k, B, d], one
+    (example, field) pair and one expert at a time: the mean of the field's table
+    rows, its own key and value, a softmax over the example's fields."""
+    p = {name: t.data for name, t in params.items()}
+    k, d = p["virtual_kernels"].shape
+    m = len(schema.user_fields)
+    ctx, weights, out = (np.zeros((k, len(examples), d)), np.zeros((k, len(examples), m)),
+                         np.zeros((k, len(examples), d)))
+    for b, ex in enumerate(examples):
+        fields = [np.mean([field_rows(p["user_embed"], schema, fname)[v]
+                           for v in (raw if isinstance(raw, tuple) else (raw,))], axis=0)
+                  for (fname, _), raw in zip(schema.user_fields, ex.field_values)]
+        for e in range(k):
+            (qw, qb), (kw, kb), (vw, vb), (w1, b1), (w2, b2) = (
+                expert_slice(params, layer, e)
+                for layer in ("q_proj", "k_proj", "v_proj", "head1", "head2"))
+            q = np.tanh(p["virtual_kernels"][e] @ qw + qb)
+            logits = np.array([q @ np.tanh(f @ kw + kb) for f in fields]) / math.sqrt(d)
+            weights[e, b] = np.exp(logits - logits.max()) / np.exp(logits - logits.max()).sum()
+            ctx[e, b] = sum(w * np.tanh(f @ vw + vb) for w, f in zip(weights[e, b], fields))
+            out[e, b] = np.maximum(ctx[e, b] @ w1 + b1, 0.0) @ w2 + b2
+    return ctx, weights, out
+
+
+DISTINCT_ROW_BATCHES = {
+    # a multi-valued field with an id repeated in one row, and ids shared across rows
+    "repeated_id_in_row": [((1, 2, (3, 3, 5)), (1,)), ((1, 0, (3,)), (2,)), ((4, 2, 6), (3,))],
+    "batch_of_one": [(((0, 2), 3, (1, 6)), (4,))],
+    "all_single_valued": [((1, 2, 3), (1,)), ((1, 0, 3), (2,)), ((4, 2, 3), (3,)),
+                          ((1, 2, 3), (4,))],
+    "no_single_valued_field": [(((0, 2), (1, 3), (1, 6)), (4,)), ((4, (0, 1), (2, 2)), (1,))],
+}
+
+
+@pytest.mark.parametrize("case", [*DISTINCT_ROW_BATCHES, "wide_slice"])
+def test_distinct_field_rows_match_per_pair_oracle(small_cfg, case):
+    schema = small_cfg.schema
+    params = make_params(small_cfg, seed=6)
+    if case == "wide_slice":
+        # a slice of a dataset-level encoding: 'habits' is 3 wide, its rows hold 1 id
+        examples = [FakeExample((1, 2, (0, 4, 6)), (1,)), FakeExample((2, 2, 4), (2,)),
+                    FakeExample((1, 3, 4), (3,)), FakeExample((0, 2, 5), (4,))]
+        batch = M.encode_examples(examples, schema).slice(np.array([1, 2, 3]))
+        examples = examples[1:]
+        assert batch.field_idx[2].shape[1] == 3
+    else:
+        examples = [FakeExample(*row) for row in DISTINCT_ROW_BATCHES[case]]
+        batch = M.encode_examples(examples, schema)
+    rows, inverse = M.embed_user_fields(batch, params, schema)
+    # one row per distinct id of a one-wide field, one per example of a wider one
+    widths = [idx.shape[1] for idx in batch.field_idx]
+    distinct = {(j, int(idx[b, 0])) for j, idx in enumerate(batch.field_idx) if widths[j] == 1
+                for b in range(batch.size)}
+    assert inverse.shape == (batch.size, 3)
+    assert rows.shape == (len(distinct) + batch.size * sum(w > 1 for w in widths), 8)
+
+    ctx, weights, out = _per_pair_oracle(examples, schema, params)
+    got_ctx, got_weights = M.vke_attention(rows, inverse, params)
+    np.testing.assert_allclose(got_ctx.data, ctx, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got_weights.data, weights, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(M.vke_forward(rows, inverse, params).data, out, rtol=0, atol=1e-12)
 
 
 def test_embed_out_of_vocab_names_field(small_cfg):
@@ -263,9 +338,9 @@ def test_tag_tower_empty_set_is_data_error(small_cfg):
 
 def test_vke_single_field_context_is_value_row(small_cfg):
     params = make_params(small_cfg)
-    fe = dg.Tensor(np.random.default_rng(0).normal(size=(1, 1, 8)))
-    ctx, w = M.vke_attention(fe, params)
-    expected_v = np_tanh_affine(fe.data[0], *expert_slice(params, "v_proj", 0))
+    fe = np.random.default_rng(0).normal(size=(1, 1, 8))
+    ctx, w = M.vke_attention(*pair_rows(fe), params)
+    expected_v = np_tanh_affine(fe[0], *expert_slice(params, "v_proj", 0))
     np.testing.assert_allclose(ctx.data[0], expected_v, atol=1e-12)
     np.testing.assert_allclose(w.data[0], [[1.0]], atol=1e-15)
 
@@ -276,8 +351,8 @@ def test_identical_experts_produce_identical_outputs(small_cfg):
     for name in expert_names(params):
         params[name].data[1] = params[name].data[0]
     params["virtual_kernels"].data[1] = params["virtual_kernels"].data[0]
-    fe = dg.Tensor(np.random.default_rng(1).normal(size=(1, 3, 8)))
-    out = M.vke_forward(fe, params).data
+    fe = np.random.default_rng(1).normal(size=(1, 3, 8))
+    out = M.vke_forward(*pair_rows(fe), params).data
     np.testing.assert_array_equal(out[0], out[1])
 
 
@@ -285,7 +360,7 @@ def test_vke_matches_step_by_step_oracle(small_cfg):
     params = make_params(small_cfg)
     rng = np.random.default_rng(2)
     fe = rng.normal(size=(3, 8))
-    got = M.vke_forward(dg.Tensor(fe[None]), params).data[2, 0]
+    got = M.vke_forward(*pair_rows(fe[None]), params).data[2, 0]
 
     # plain-loop oracle: per-input transforms, explicit softmax, MLP head
     (qw, qb), (kw, kb), (vw, vb), (w1, b1), (w2, b2) = (
@@ -311,14 +386,14 @@ def test_vke_batch_matches_single(small_cfg):
     params = make_params(small_cfg)
     rng = np.random.default_rng(3)
     fe = rng.normal(size=(4, 3, 8))
-    batched = M.vke_forward(dg.Tensor(fe), params).data
+    batched = M.vke_forward(*pair_rows(fe), params).data
     for b in range(4):
-        single = M.vke_forward(dg.Tensor(fe[b:b + 1]), params).data
+        single = M.vke_forward(*pair_rows(fe[b:b + 1]), params).data
         np.testing.assert_allclose(batched[:, b], single[:, 0], atol=1e-12)
     # all experts in one call: each row block equals that expert alone
     for e in range(small_cfg.routing.n_experts):
         np.testing.assert_array_equal(batched[e],
-                                      M.vke_forward(dg.Tensor(fe), one_expert(params, e)).data[0])
+                                      M.vke_forward(*pair_rows(fe), one_expert(params, e)).data[0])
 
 
 # ---------------------------------------------------------------------------
@@ -584,8 +659,8 @@ def test_single_expert_loss_gradient_check(small_cfg, small_batch_examples):
     both_tasks = dg.Tensor(np.zeros((2, batch.size, small_cfg.schema.embed_dim)))
 
     def loss():
-        fe = M.embed_user_fields(batch, params, small_cfg.schema)
-        out = dg.add(dg.reduce_mean(M.vke_forward(fe, params), axis=0), both_tasks)
+        rows, inverse = M.embed_user_fields(batch, params, small_cfg.schema)
+        out = dg.add(dg.reduce_mean(M.vke_forward(rows, inverse, params), axis=0), both_tasks)
         tags = M.tag_tower(batch.tag_idx, batch.tag_weight, params)
         probs = M.score_pair(out, tags, params)
         return dg.bce_loss(dg.gather_rows(probs, 0), batch.clicks)

@@ -52,9 +52,9 @@ def test_cached_vectors_match_direct_expert_outputs(served):
     user_id, fields = users[7]
     with dg.precision("f32"):
         one = M.encode_examples([D.Example(user_id, fields, (0,), 0, 0)], model.cfg.schema)
-        fe = M.embed_user_fields(one, model.params, model.cfg.schema)
+        rows, inverse = M.embed_user_fields(one, model.params, model.cfg.schema)
         for e in range(model.cfg.routing.n_experts):
-            direct = M.vke_forward(fe, model.params).data[e, 0]
+            direct = M.vke_forward(rows, inverse, model.params).data[e, 0]
             np.testing.assert_allclose(user_cache.lookup(user_id)[e], direct,
                                        atol=1e-6)
 

@@ -295,18 +295,36 @@ def test_multi_task_loss_graph_stays_within_node_budget():
     cfg = M.ModelConfig(schema=D.schema_for(gen, embed_dim=16),
                         routing=M.five_expert_routing())
     rng = np.random.default_rng(0)
-    examples = [FakeExample(tuple(int(rng.integers(v)) for _, v in cfg.schema.user_fields),
+    (_, behaviors), fields = cfg.schema.user_fields[-1], cfg.schema.user_fields[:-1]
+    examples = [FakeExample((*(int(rng.integers(v)) for _, v in fields),  # last field multi-valued
+                             tuple(int(v) for v in rng.integers(behaviors, size=1 + i % 3))),
                             (int(rng.integers(gen.n_tags)),), i % 2, 0)
                 for i in range(8)]
-    loss = T.mtl_loss(M.encode_examples(examples, cfg.schema), cfg,
-                      M.init_mvke_params(cfg, seed=0), "multi")
+    batch = M.encode_examples(examples, cfg.schema)
+    assert batch.field_idx[-1].shape[1] == 3
+    loss = T.mtl_loss(batch, cfg, M.init_mvke_params(cfg, seed=0), "multi")
     seen, stack = {id(loss)}, [loss]
     while stack:
         for parent in stack.pop()._parents:
             if id(parent) not in seen:
                 seen.add(id(parent))
                 stack.append(parent)
-    assert len(seen) <= 75
+    assert len(seen) <= 74
+
+
+def test_multi_task_loss_gradient_check_with_multi_valued_field(small_cfg):
+    """The whole multi-task loss over distinct field rows: a multi-valued field with
+    a repeated id in one row, and single-valued ids shared by several examples."""
+    params = M.init_mvke_params(small_cfg, seed=4)
+    examples = [FakeExample(((0, 2, 2), 1, 6), (2,), 0, 0),
+                FakeExample((3, 1, (4, 6)), (1, 4), 1, 0),
+                FakeExample((3, 2, 5), (7, 8, 3), 1, 1),
+                FakeExample(((2,), 1, 6), (9,), 0, 1)]
+    batch = M.encode_examples(examples, small_cfg.schema)
+    rows, _ = M.embed_user_fields(batch, params, small_cfg.schema)
+    assert rows.shape[0] < batch.size * len(small_cfg.schema.user_fields)
+    loss = lambda: T.mtl_loss(batch, small_cfg, params, "multi")
+    assert dg.grad_check(loss, params, max_entries=8) <= 1e-4
 
 
 def test_fit_keeps_best_validation_checkpoint(tiny_data):
