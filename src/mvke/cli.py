@@ -15,7 +15,6 @@ import copy
 import dataclasses
 import json
 import logging
-import math
 import os
 import sys
 from pathlib import Path
@@ -25,47 +24,47 @@ from . import diffgraph as dg
 from . import evaluation as eval_mod
 from . import serve as serve_mod
 from .errors import ConfigError, DataError, MvkeError, NumericsError
-from .model import (ExpertRouting, ModelConfig, MvkeModel, Task, TwoTowerModel,
-                    load_model, save_model, split_routing)
+from .model import (ModelConfig, MvkeModel, Task, TwoTowerModel, _float, _int, _ints, _read,
+                    five_expert_routing, load_model, save_model, split_routing)
 from .train import TrainConfig, fit
 
 log = logging.getLogger("mvke")
 
-MODES = ("noMTL-ctr", "noMTL-cvr", "mvke-st-ctr", "mvke-st-cvr", "mvke-mt")
+# CLI mode -> (training mode, task of the two-tower baseline or None for the mixture)
+MODES = {
+    "noMTL-ctr": ("ctr-only", Task.CTR),
+    "noMTL-cvr": ("cvr-only", Task.CVR),
+    "mvke-st-ctr": ("ctr-only", None),
+    "mvke-st-cvr": ("cvr-only", None),
+    "mvke-mt": ("multi", None),
+}
 
+PRECISIONS = ("f32", "f64")
+
+# model fields that the data section decides, not the model section
+DATA_FIELDS = ("user_fields", "tag_vocab_size")
+
+
+def _defaults(cls, *fixed) -> dict:
+    """The default of each field of dataclass ``cls`` but those in ``fixed``."""
+    return {f.name: f.default for f in dataclasses.fields(cls) if f.name not in fixed}
+
+
+def _model_fields(gen_cfg: data_mod.GeneratorConfig) -> dict:
+    """``to_dict`` of the default model for the data of ``gen_cfg``."""
+    return ModelConfig(data_mod.schema_for(gen_cfg), five_expert_routing()).to_dict()
+
+
+# Every default comes from the dataclasses and functions that own it; the keys
+# of this document are the config schema.
 DEFAULT_CONFIG: dict = {
     "seed": 0,
     "precision": "f32",
     "mode": "mvke-mt",
-    "data": {
-        "n_users": 10_000,
-        "n_tags": 100,
-        "n_ads": 2_000,
-        "n_impressions": 200_000,
-        "n_test_impressions": 40_000,
-        "latent_dim": 8,
-        "n_facets": 1,
-        "negative_ratio": 1,
-        "click_offset": 0.9,
-        "conv_offset": -2.1,
-        "affinity_scale": 4.0,
-    },
-    "model": {
-        "embed_dim": 16,
-        "n_experts": 5,
-        "ctr_experts": [0, 1, 2],
-        "cvr_experts": [1, 2, 3, 4],
-        "head_hidden": 0,
-        "tau_init": 5.0,
-    },
-    "train": {
-        "epochs": 10,
-        "batch_size": 256,
-        "learning_rate": 1e-3,
-        "beta1": 0.9,
-        "beta2": 0.999,
-        "eps": 1e-8,
-    },
+    "data": _defaults(data_mod.GeneratorConfig, "seed"),
+    "model": {key: value for key, value in _model_fields(data_mod.GeneratorConfig()).items()
+              if key not in DATA_FIELDS},
+    "train": _defaults(TrainConfig, "seed", "mode"),
     "eval": {
         "sweep_counts": [4, 5, 6, 7, 8, 9, 10],
     },
@@ -87,7 +86,8 @@ def _deep_merge(base: dict, override: dict) -> dict:
 
 
 def resolve_config(config_path: str | None, args: argparse.Namespace) -> dict:
-    """defaults < config file < explicit flags."""
+    """defaults < config file < explicit flags; ConfigError for a key
+    ``DEFAULT_CONFIG`` lacks, at the top level or in a section."""
     resolved = copy.deepcopy(DEFAULT_CONFIG)
     if config_path:
         path = Path(config_path)
@@ -100,6 +100,12 @@ def resolve_config(config_path: str | None, args: argparse.Namespace) -> dict:
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
         resolved = _deep_merge(resolved, file_cfg)
+    for where, given, schema in [("config", resolved, DEFAULT_CONFIG)] + [
+            (f"{section} section", _object(resolved, section), fields)
+            for section, fields in DEFAULT_CONFIG.items() if isinstance(fields, dict)]:
+        unknown = sorted(given.keys() - schema.keys())
+        if unknown:
+            raise ConfigError(f"bad {where}: unknown fields {unknown}")
     if getattr(args, "seed", None) is not None:
         resolved["seed"] = args.seed
     if getattr(args, "precision", None) is not None:
@@ -109,43 +115,22 @@ def resolve_config(config_path: str | None, args: argparse.Namespace) -> dict:
     if getattr(args, "vke_count", None) is not None:
         k = args.vke_count
         routing = split_routing(k)
-        _object(resolved, "model").update(n_experts=k, ctr_experts=list(routing.ctr_experts),
-                                          cvr_experts=list(routing.cvr_experts))
+        resolved["model"].update(n_experts=k, ctr_experts=list(routing.ctr_experts),
+                                 cvr_experts=list(routing.cvr_experts))
     if getattr(args, "topk", None) is not None:
-        _object(resolved, "serve")["topk"] = args.topk
-    if resolved["mode"] not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {resolved['mode']!r}")
-    resolved["seed"] = _field(resolved, None, "seed", _int)
+        resolved["serve"]["topk"] = args.topk
+    for key, allowed in (("mode", list(MODES)), ("precision", list(PRECISIONS))):
+        if resolved[key] not in allowed:
+            raise ConfigError(f"{key} must be one of {allowed}, got {resolved[key]!r}")
+    resolved["seed"] = _read(resolved, "seed", _int, "bad config: ")
+    if resolved["seed"] < 0:  # numpy refuses a negative seed
+        raise ConfigError(f"bad config: field 'seed': must be >= 0, got {resolved['seed']}")
     return resolved
 
 
-def _int(value) -> int:
-    """``value`` as an int; ValueError for a bool, a non-number or a fraction."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
-
-
-def _float(value) -> float:
-    """``value`` as a float; ValueError for a bool, a non-number, NaN or infinity."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ValueError(f"expected a finite number, got {value!r}")
-    return float(value)
-
-
-def _ints(values) -> list[int]:
-    return [_int(v) for v in values]
-
-
-def _field(resolved: dict, section: str | None, key: str, convert):
-    """``convert(resolved[section][key])``, or of ``resolved[key]`` for no section;
-    ConfigError naming the section and field."""
-    try:
-        return convert(resolved[key] if section is None else resolved[section][key])
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
-        where = "config" if section is None else f"{section} section"
-        raise ConfigError(f"bad {where}: field {key!r}: {e}") from e
+def _field(resolved: dict, section: str, key: str, convert):
+    """``convert(resolved[section][key])``; ConfigError naming the section and field."""
+    return _read(resolved[section], key, convert, f"bad {section} section: ")
 
 
 def _object(resolved: dict, section: str) -> dict:
@@ -157,19 +142,12 @@ def _object(resolved: dict, section: str) -> dict:
 
 
 def _section(resolved: dict, section: str, cls, **fixed):
-    """``cls(**fixed, **fields)``, each field of ``section`` read by ``_field``.
-
-    A field converts by the type ``cls`` declares for it (``int`` or
-    ``float``); a field ``cls`` lacks, or one in ``fixed``, is a ConfigError.
-    """
-    fields = _object(resolved, section)
-    types = {f.name: f.type for f in dataclasses.fields(cls) if f.name not in fixed}
-    unknown = sorted(set(fields) - types.keys())
-    if unknown:
-        raise ConfigError(f"bad {section} section: unknown fields {unknown}")
+    """``cls(**fixed, **fields)``, each field of ``section`` read by ``_field``
+    as the type ``cls`` declares for it (``int`` or ``float``)."""
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
     convert = {"int": _int, "float": _float}
     return cls(**fixed, **{key: _field(resolved, section, key, convert[types[key]])
-                           for key in fields})
+                           for key in resolved[section]})
 
 
 def generator_config(resolved: dict) -> data_mod.GeneratorConfig:
@@ -177,29 +155,18 @@ def generator_config(resolved: dict) -> data_mod.GeneratorConfig:
 
 
 def model_config(resolved: dict) -> ModelConfig:
-    gen_cfg = generator_config(resolved)
-
-    def m(key, convert):
-        return _field(resolved, "model", key, convert)
-
-    schema = data_mod.schema_for(gen_cfg, embed_dim=m("embed_dim", _int))
-    routing = ExpertRouting(m("n_experts", _int), m("ctr_experts", _ints),
-                            m("cvr_experts", _ints))
-    return ModelConfig(schema=schema, routing=routing,
-                       head_hidden=m("head_hidden", _int),
-                       tau_init=m("tau_init", _float))
+    """``ModelConfig.from_dict`` of the model section plus the fields the data decides."""
+    derived = _model_fields(generator_config(resolved))
+    try:
+        return ModelConfig.from_dict({**resolved["model"],
+                                      **{key: derived[key] for key in DATA_FIELDS}})
+    except ConfigError as e:
+        raise ConfigError(f"bad model section: {e}") from e
 
 
 def train_config(resolved: dict) -> TrainConfig:
-    mode_map = {
-        "noMTL-ctr": "ctr-only",
-        "noMTL-cvr": "cvr-only",
-        "mvke-st-ctr": "ctr-only",
-        "mvke-st-cvr": "cvr-only",
-        "mvke-mt": "multi",
-    }
     return _section(resolved, "train", TrainConfig, seed=resolved["seed"] + 2,
-                    mode=mode_map[resolved["mode"]])
+                    mode=MODES[resolved["mode"]][0])
 
 
 def _prepare_out(resolved: dict, out_dir: str) -> Path:
@@ -242,12 +209,11 @@ def cmd_gen_data(args) -> int:
 
 def build_model(resolved: dict):
     cfg = model_config(resolved)
-    mode = resolved["mode"]
+    train_mode, baseline = MODES[resolved["mode"]]
     seed = resolved["seed"] + 1
-    if mode.startswith("noMTL"):
-        task = Task.CTR if mode.endswith("ctr") else Task.CVR
-        return TwoTowerModel(cfg, task, seed=seed)
-    if mode == "mvke-mt":
+    if baseline is not None:
+        return TwoTowerModel(cfg, baseline, seed=seed)
+    if train_mode == "multi":
         cfg.routing.check_multi_task()
     return MvkeModel(cfg, seed=seed)
 
@@ -368,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--precision", choices=("f32", "f64"), default=None)
+        p.add_argument("--precision", choices=PRECISIONS, default=None)
         if data:
             p.add_argument("--data", required=True, help="directory from gen-data")
         if ckpt:

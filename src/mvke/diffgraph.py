@@ -4,9 +4,11 @@ A small numpy-backed engine. Its primitives, each one graph node with a
 hand-written gradient, are ``add``, ``mul``, ``matmul``, ``affine`` (``x @ W + b``),
 ``transpose``, ``reshape``, ``reduce_sum``, ``reduce_mean``, ``tanh``, ``relu``,
 ``sigmoid``, ``softmax``, ``gather_rows``, ``gather_mix`` (rows gathered through a
-shared index and mixed by weights), ``cosine_similarity`` and ``bce_loss``;
-attention is composed of them. Plus a finite-difference gradient checker and a
-line-JSON checkpoint format.
+shared index and mixed by weights), ``cosine_similarity`` and ``bce_loss``.
+Attention is composed of them: ``attention_weights(q, k)`` is
+``softmax(Q K^T / sqrt(d))``, and a caller mixes values with
+``matmul(attention_weights(q, k), v)``. Plus a finite-difference gradient
+checker and a line-JSON checkpoint format.
 
 Graph nodes do not scan their outputs for NaN or infinity. Non-finite values
 are caught, as ``NumericsError`` unless noted, where they enter or leave: the
@@ -379,7 +381,7 @@ def gather_rows(table: Tensor, indices) -> Tensor:
 
     ``table`` has at least two axes and ``indices`` any shape; the result
     has shape ``indices.shape + table.shape[1:]``. Repeated indices add
-    their gradients. Ids ``0 .. rows - 1`` in order return ``table`` itself.
+    their gradients.
     """
     table = as_tensor(table)
     if table.ndim < 2:
@@ -390,8 +392,6 @@ def gather_rows(table: Tensor, indices) -> Tensor:
     rows = table.shape[0]
     if idx.size and (idx.min() < 0 or idx.max() >= rows):
         raise DataError(f"gather_rows index out of range for table with {rows} rows")
-    if idx.shape == (rows,) and np.array_equal(idx, np.arange(rows)):
-        return table
     out = np.take(table.data, idx, axis=0)
 
     def grad_fn(g):
@@ -528,16 +528,6 @@ def attention_weights(q: Tensor, k: Tensor, mask: Tensor | None = None) -> Tenso
     scale = raw_tensor(np.asarray(1.0 / math.sqrt(kt.shape[-2]), dtype=scores.data.dtype))
     scores = mul(scores, scale)
     return softmax(scores if mask is None else add(scores, mask), axis=-1)
-
-
-def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
-    """``(weights @ v [..., q, e], weights [..., q, n])`` for ``v [..., n, e]``.
-
-    ``weights = attention_weights(q, k)``; leading axes broadcast as in ``matmul``,
-    which also rejects mismatched shapes.
-    """
-    weights = attention_weights(q, k)
-    return matmul(weights, v), weights
 
 
 def bce_loss(p: Tensor, y) -> Tensor:

@@ -140,6 +140,39 @@ def five_expert_routing() -> ExpertRouting:
     return ExpertRouting(5, ctr_experts=(0, 1, 2), cvr_experts=(1, 2, 3, 4))
 
 
+def _int(value) -> int:
+    """``value`` if it is a JSON integer; ValueError for a bool, a float or a non-number."""
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _float(value) -> float:
+    """``value`` as a float; ValueError for a bool, a non-number, NaN or infinity."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _ints(values) -> list[int]:
+    return [_int(v) for v in values]
+
+
+def _read(fields: dict, key: str, convert, where: str = ""):
+    """``convert(fields[key])``; ConfigError naming ``where`` and the field."""
+    try:
+        return convert(fields[key])
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        raise ConfigError(f"{where}field {key!r}: {e}") from e
+
+
+def _user_field(pair) -> tuple[str, int]:
+    name, vocab = pair
+    if type(name) is not str:
+        raise ValueError(f"expected a field name, got {name!r}")
+    return name, _int(vocab)
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     schema: FieldSchema
@@ -165,19 +198,33 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        schema = FieldSchema(
-            user_fields=tuple((n, int(v)) for n, v in d["user_fields"]),
-            tag_vocab_size=int(d["tag_vocab_size"]),
-            embed_dim=int(d["embed_dim"]),
-        )
-        routing = ExpertRouting(
-            int(d["n_experts"]),
-            tuple(d["ctr_experts"]),
-            tuple(d["cvr_experts"]),
-        )
-        return cls(schema=schema, routing=routing,
-                   head_hidden=int(d.get("head_hidden", 0)),
-                   tau_init=float(d.get("tau_init", 5.0)))
+        """The config of ``to_dict``'s fields, each read strictly.
+
+        ConfigError naming the field unless ``d`` is an object with exactly
+        those fields, ``tau_init`` a finite number and every other number a
+        JSON integer (not a bool, a float or a string).
+        """
+        if not isinstance(d, dict):
+            raise ConfigError(f"expected an object, got {d!r}")
+        missing, unknown = sorted(_READERS.keys() - d.keys()), sorted(d.keys() - _READERS.keys())
+        if missing or unknown:
+            raise ConfigError(f"missing fields {missing}" if missing else f"unknown fields {unknown}")
+        v = {key: _read(d, key, convert) for key, convert in _READERS.items()}
+        return cls(schema=FieldSchema(v["user_fields"], v["tag_vocab_size"], v["embed_dim"]),
+                   routing=ExpertRouting(v["n_experts"], v["ctr_experts"], v["cvr_experts"]),
+                   head_hidden=v["head_hidden"], tau_init=v["tau_init"])
+
+
+_READERS: dict[str, Callable] = {
+    "user_fields": lambda pairs: tuple(map(_user_field, pairs)),
+    "tag_vocab_size": _int,
+    "embed_dim": _int,
+    "n_experts": _int,
+    "ctr_experts": _ints,
+    "cvr_experts": _ints,
+    "head_hidden": _int,
+    "tau_init": _float,
+}
 
 
 # ---------------------------------------------------------------------------

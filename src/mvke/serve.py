@@ -43,21 +43,25 @@ def _write_cache(bin_path, index_path, header: tuple[int, int, int],
 def _read_cache(bin_path, index_path, row_width) -> tuple[dict, int, int, np.ndarray]:
     """(index, a, b, rows [n, row_width(a, b)]) of a cache with header (a, b, n).
 
-    Raises DataError naming the file unless the index's dtype is known, the
-    header lists as many rows as the index has ids and the payload fills
-    them exactly. The rows are a writable view of the bytes read, not a copy.
+    Raises DataError naming the file unless the index's dtype is known, its
+    ids are distinct JSON integers (not bools), the header lists as many rows
+    as the index has ids and the payload fills them exactly. The rows are a
+    writable view of the bytes read, not a copy.
     """
     try:
         index = json.loads(Path(index_path).read_text(encoding="utf-8"))
-        code, n_ids = dg.codec_dtype(index["dtype"]), len(index["ids"])
+        code, ids = dg.codec_dtype(index["dtype"]), index["ids"]
+        if (not isinstance(ids, list) or not set(map(type, ids)) <= {int}
+                or len(set(ids)) != len(ids)):
+            raise ValueError("its ids are not distinct integers")
         raw = np.fromfile(bin_path, dtype=np.uint8)
     except (DataError, OSError, KeyError, TypeError, ValueError) as e:
         raise DataError(f"cannot load cache {bin_path} with index {index_path}: {e}") from e
     if raw.size < _HEADER.size:
         raise DataError(f"cache {bin_path} is shorter than its {_HEADER.size}-byte header")
     a, b, n = _HEADER.unpack_from(raw)
-    if n != n_ids:
-        raise DataError(f"cache {bin_path} holds {n} rows, its index lists {n_ids} ids")
+    if n != len(ids):
+        raise DataError(f"cache {bin_path} holds {n} rows, its index lists {len(ids)} ids")
     width = row_width(a, b)
     if min(a, b) < 0 or raw.size - _HEADER.size != n * width * code.itemsize:
         raise DataError(f"cache {bin_path}: {raw.size - _HEADER.size} payload bytes "
@@ -319,8 +323,9 @@ def bench(model: MvkeModel, users: Sequence[tuple[int, tuple]],
     """
     rows = []
     for n_users, n_tags in sizes:
-        if n_users > len(users) or n_tags > len(tags):
-            raise ConfigError(f"bench size ({n_users}, {n_tags}) exceeds roster")
+        if not (1 <= n_users <= len(users) and 1 <= n_tags <= len(tags)):
+            raise ConfigError(f"bench size ({n_users}, {n_tags}) is outside "
+                              f"[1, {len(users)}] x [1, {len(tags)}]")
         sub_users = list(users[:n_users])
         sub_tags = list(tags[:n_tags])
 

@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import mvke
+import mvke.data
 import mvke.diffgraph as dg
+import mvke.errors
 from mvke.cli import main
 
 
@@ -201,11 +203,26 @@ def _per_task_tables(ckpt):
     (ckpt / "params.jsonl").write_text("\n".join(lines) + "\n")
 
 
-@pytest.mark.parametrize("break_it, names", [(_drop_kind, "model.json"),
-                                             (_drop_last_param, "params.jsonl"),
-                                             (_reshape_first_param, "params.jsonl"),
-                                             (_per_field_user_tables, "user_embed"),
-                                             (_per_task_tables, "gate.ctr.")])
+def _config_value(key, value):
+    """A ``break_it`` that sets ``model.json``'s ``config[key]`` to ``value``."""
+    def break_it(ckpt):
+        meta = json.loads((ckpt / "model.json").read_text())
+        meta["config"][key] = value
+        (ckpt / "model.json").write_text(json.dumps(meta))
+    return break_it
+
+
+@pytest.mark.parametrize("break_it, names", [
+    (_drop_kind, "model.json"),
+    (_drop_last_param, "params.jsonl"),
+    (_reshape_first_param, "params.jsonl"),
+    (_per_field_user_tables, "user_embed"),
+    (_per_task_tables, "gate.ctr."),
+    (_config_value("tau_init", "nan"), "model.json: field 'tau_init'"),
+    (_config_value("ctr_experts", [0.0, 1.0, 2.0]), "model.json: field 'ctr_experts'"),
+    (_config_value("embed_dim", 8.9), "model.json: field 'embed_dim'"),
+    (_config_value("bogus", 1), "model.json: unknown fields ['bogus']"),
+])
 def test_eval_on_broken_checkpoint_is_data_error(pipeline, tmp_path, capsys,
                                                  break_it, names):
     _, cfg, data_dir, train_dir = pipeline
@@ -388,6 +405,16 @@ def test_unknown_mode_is_config_error(tmp_path):
     ("train", {"model": {"tau_init": "nan"}}, "tau_init"),
     ("train", {"train": {"learning_rate": float("nan")}}, "learning_rate"),
     ("train", {"train": {"beta1": 10**400}}, "beta1"),
+    ("train", {"model": {"embed_dimm": 4, "n_expert": 9}}, "['embed_dimm', 'n_expert']"),
+    ("train", {"model": {"tag_vocab_size": 16}}, "tag_vocab_size"),
+    ("train", {"model": {"embed_dim": 8.0}}, "embed_dim"),
+    ("sweep", {"eval": {"extra": 1}}, "extra"),
+    ("predict", {"serve": {"bogus": 2}}, "bogus"),
+    ("gen-data", {"sead": 5, "modle": {}}, "['modle', 'sead']"),
+    ("train", {"model": "x"}, "model section: expected an object"),
+    ("gen-data", {"seed": -1}, "seed"),
+    ("eval", {"precision": "f16"}, "precision"),
+    ("bench", {"serve": {"bench_sizes": [[-1, 5]]}}, "bench size (-1, 5)"),
 ])
 def test_bad_config_value_is_config_error(pipeline, tmp_path, capsys, command, extra, field):
     """``command`` is the subcommand, then any flags it runs with."""
@@ -402,6 +429,39 @@ def test_bad_config_value_is_config_error(pipeline, tmp_path, capsys, command, e
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert "config error" in err and field in err and "Traceback" not in err
+
+
+BUILT_IN_DEFAULTS = {
+    "seed": 0, "precision": "f32", "mode": "mvke-mt",
+    "data": {"n_users": 10_000, "n_tags": 100, "n_ads": 2_000, "n_impressions": 200_000,
+             "n_test_impressions": 40_000, "latent_dim": 8, "n_facets": 1,
+             "negative_ratio": 1, "click_offset": 0.9, "conv_offset": -2.1,
+             "affinity_scale": 4.0},
+    "model": {"embed_dim": 16, "n_experts": 5, "ctr_experts": [0, 1, 2],
+              "cvr_experts": [1, 2, 3, 4], "head_hidden": 0, "tau_init": 5.0},
+    "train": {"epochs": 10, "batch_size": 256, "learning_rate": 1e-3, "beta1": 0.9,
+              "beta2": 0.999, "eps": 1e-8},
+    "eval": {"sweep_counts": [4, 5, 6, 7, 8, 9, 10]},
+    "serve": {"topk": 10, "bench_sizes": [[200, 50], [400, 50]]},
+}
+
+
+def test_gen_data_without_config_resolves_the_documented_defaults(tmp_path, monkeypatch):
+    """The defaults the config sections derive from the dataclasses keep their values.
+
+    ``resolved.json`` is written before generation, so the generator is stubbed
+    out rather than run at default scale.
+    """
+    seen = []
+
+    def stub(gen_cfg):
+        seen.append(gen_cfg)
+        raise mvke.errors.DataError("generation stubbed out")
+
+    monkeypatch.setattr(mvke.data, "generate", stub)
+    assert main(["gen-data", "--out", str(tmp_path)]) == 2
+    assert json.loads((tmp_path / "resolved.json").read_text()) == BUILT_IN_DEFAULTS
+    assert seen == [mvke.data.GeneratorConfig()]
 
 
 def test_divergence_exits_3(tmp_path):

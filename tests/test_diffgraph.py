@@ -77,13 +77,18 @@ def test_softmax_shift_invariance(logits, shift):
 
 
 # ---------------------------------------------------------------------------
-# attention
+# attention: the composite ``matmul(attention_weights(q, k), v)``
+
+def attend(q, k, v):
+    weights = dg.attention_weights(q, k)
+    return dg.matmul(weights, v), weights
+
 
 def test_attention_single_key_returns_value_row():
     q = t(np.random.default_rng(1).normal(size=(1, 4)))
     k = t(np.random.default_rng(2).normal(size=(1, 4)))
     v = t([[3.0, -1.0, 2.0]])
-    out, w = dg.scaled_dot_attention(q, k, v)
+    out, w = attend(q, k, v)
     np.testing.assert_allclose(out.data, v.data, atol=1e-15)
     np.testing.assert_allclose(w.data, [[1.0]], atol=1e-15)
 
@@ -94,7 +99,7 @@ def test_attention_identical_keys_average_values():
     k = t(np.tile(row, (5, 1)))
     v = t(rng.normal(size=(5, 3)))
     q = t(rng.normal(size=(2, 4)))
-    out, w = dg.scaled_dot_attention(q, k, v)
+    out, w = attend(q, k, v)
     np.testing.assert_allclose(out.data, np.tile(v.data.mean(axis=0), (2, 1)), atol=1e-12)
     np.testing.assert_allclose(w.data, np.full((2, 5), 0.2), atol=1e-12)
 
@@ -109,30 +114,28 @@ def test_attention_matches_brute_force_oracle():
     es = [math.exp(z) for z in logits]
     ws = [e / sum(es) for e in es]
     expected = ws[0] * v[0] + ws[1] * v[1]
-    out, w = dg.scaled_dot_attention(t(q), t(k), t(v))
+    out, w = attend(t(q), t(k), t(v))
     np.testing.assert_allclose(w.data[0], ws, atol=1e-12)
     np.testing.assert_allclose(out.data[0], expected, atol=1e-12)
 
 
 def test_attention_dimension_mismatch_is_config_error():
     with pytest.raises(ConfigError):
-        dg.scaled_dot_attention(t(np.ones((1, 3))), t(np.ones((2, 4))), t(np.ones((2, 2))))
+        attend(t(np.ones((1, 3))), t(np.ones((2, 4))), t(np.ones((2, 2))))
     with pytest.raises(ConfigError):
-        dg.scaled_dot_attention(t(np.ones((1, 3))), t(np.ones((2, 3))), t(np.ones((3, 2))))
+        attend(t(np.ones((1, 3))), t(np.ones((2, 3))), t(np.ones((3, 2))))
 
 
 def test_attention_leading_axes_match_per_slice_calls():
     rng = np.random.default_rng(6)
     q, k, v = (rng.normal(size=(2, 3, n, 4)) for n in (2, 5, 5))
-    out, w = dg.scaled_dot_attention(t(q), t(k), t(v))
+    out, w = attend(t(q), t(k), t(v))
     assert out.shape == (2, 3, 2, 4) and w.shape == (2, 3, 2, 5)
     for i in range(2):
         for j in range(3):
-            o2, w2 = dg.scaled_dot_attention(t(q[i, j]), t(k[i, j]), t(v[i, j]))
+            o2, w2 = attend(t(q[i, j]), t(k[i, j]), t(v[i, j]))
             np.testing.assert_array_equal(out.data[i, j], o2.data)
             np.testing.assert_array_equal(w.data[i, j], w2.data)
-            only_weights = dg.attention_weights(t(q[i, j]), t(k[i, j]))
-            np.testing.assert_array_equal(w2.data, only_weights.data)
 
 
 def test_attention_output_in_convex_hull_of_values():
@@ -141,7 +144,7 @@ def test_attention_output_in_convex_hull_of_values():
         q = t(rng.normal(size=(1, 4)))
         k = t(rng.normal(size=(6, 4)))
         v = t(rng.normal(size=(6, 3)))
-        out, _ = dg.scaled_dot_attention(q, k, v)
+        out, _ = attend(q, k, v)
         lo = v.data.min(axis=0) - 1e-12
         hi = v.data.max(axis=0) + 1e-12
         assert np.all(out.data[0] >= lo) and np.all(out.data[0] <= hi)
@@ -364,7 +367,7 @@ def test_grad_check_per_primitive(case):
         q = t(rng.normal(size=(2, 4)), rg=True)
         k = t(rng.normal(size=(5, 4)), rg=True)
         vv = t(rng.normal(size=(5, 3)), rg=True)
-        f = lambda: dg.reduce_sum(dg.tanh(dg.scaled_dot_attention(q, k, vv)[0]))
+        f = lambda: dg.reduce_sum(dg.tanh(attend(q, k, vv)[0]))
         params = {"q": q, "k": k, "v": vv}
     elif case == "matmul_batched":
         x = t(rng.normal(size=(2, 3, 4)), rg=True)
@@ -389,7 +392,7 @@ def test_grad_check_per_primitive(case):
         q = t(rng.normal(size=(2, 1, 1, 4)), rg=True)
         k = t(rng.normal(size=(2, 3, 5, 4)), rg=True)
         vv = t(rng.normal(size=(2, 3, 5, 3)), rg=True)
-        f = lambda: dg.reduce_sum(dg.tanh(dg.scaled_dot_attention(q, k, vv)[0]))
+        f = lambda: dg.reduce_sum(dg.tanh(attend(q, k, vv)[0]))
         params = {"q": q, "k": k, "v": vv}
     elif case == "affine":
         bias = t(rng.normal(size=3), rg=True)
@@ -485,12 +488,8 @@ def test_identity_gather_passes_gradients_through_unchanged():
     table = t(rng.normal(size=(4, 2, 3)), rg=True)
     weights = rng.normal(size=(4, 2, 3))
     out = dg.gather_rows(table, np.arange(4))
-    assert out is table
     dg.backward(dg.reduce_sum(dg.mul(out, weights)))
     np.testing.assert_array_equal(table.grad, weights)
-    # a reordering or a subset is a real gather
-    assert dg.gather_rows(table, np.array([1, 0, 2, 3])) is not table
-    assert dg.gather_rows(table, np.arange(3)) is not table
 
 
 @pytest.mark.parametrize("precision, dtype, rtol", [("f32", np.float32, 1e-5),

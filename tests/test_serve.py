@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 
 import numpy as np
@@ -354,6 +355,14 @@ def test_bench_rejects_oversized_request(served):
         S.bench(model, users, tags, sizes=[(10**6, 5)])
 
 
+@pytest.mark.parametrize("size", [(-1, 5), (0, 5), (8, -2)])
+def test_bench_rejects_a_size_below_one(served, size):
+    """A negative size would slice from the end and report the wrong count."""
+    model, users, tags, _ = served
+    with pytest.raises(ConfigError, match="bench size"):
+        S.bench(model, users, tags, sizes=[size])
+
+
 @pytest.fixture
 def saved(tmp_path, served):
     _, _, _, caches = served
@@ -407,6 +416,19 @@ def test_tag_cache_experts_must_be_distinct_ids_of_the_user_cache(saved, experts
 def test_tag_cache_tau_must_be_a_finite_number(saved, tau):
     _rewrite_index(saved / "tag_cache_cvr.json", tau=tau)
     with pytest.raises(DataError, match=r"tag_cache_cvr\.json"):
+        S.load_caches(saved)
+
+
+@pytest.mark.parametrize("name, bad_ids", [
+    ("tag_cache_ctr.json", lambda ids: ["a", *ids[1:]]),
+    ("user_cache.json", lambda ids: [ids[1], *ids[1:]]),
+    ("user_cache.json", lambda ids: [True, *ids[1:]]),
+    ("user_cache.json", lambda ids: [float(i) for i in ids]),
+], ids=["string", "repeated", "bool", "float"])
+def test_cache_ids_must_be_distinct_integers(saved, name, bad_ids):
+    doc = json.loads((saved / name).read_text())
+    _rewrite_index(saved / name, ids=bad_ids(doc["ids"]))
+    with pytest.raises(DataError, match=re.escape(name)):
         S.load_caches(saved)
 
 
