@@ -180,6 +180,11 @@ class ModelConfig:
     head_hidden: int = 0  # 0 means 2 * embed_dim
     tau_init: float = 5.0
 
+    def __post_init__(self):
+        if self.head_hidden < 0:
+            raise ConfigError(f"field 'head_hidden': expected >= 0 (0 means 2 * embed_dim), "
+                              f"got {self.head_hidden}")
+
     @property
     def hidden(self) -> int:
         return self.head_hidden if self.head_hidden > 0 else 2 * self.schema.embed_dim

@@ -231,13 +231,13 @@ def score_from_cache(user_id: int, tag_id: int, task: Task,
 
 
 def _all_tags_scorer(tc: TaskTagCache):
-    """(tag ids ascending, score): score(vectors [u, k_all, d]) -> [u, T] float64.
+    """(tag ids ascending, neg_logits): neg_logits(vectors [u, k_all, d]) -> [u, T] float64.
 
-    The gates depend only on the tag, so with ``E_u`` the user's expert rows
-    and ``w_t`` the tag's gate weights, ``mix · t = Σ_k w_tk (E_uk · t)`` and
-    ``‖mix‖² = w_tᵀ (E_u E_uᵀ) w_t``: one matmul each per user chunk, with
-    no ``[u, T, d]`` tensor. float64 keeps the quadratic form clear of
-    cancellation. Columns are in ascending tag-id order.
+    Entries are ``-tau · cos``, the sigmoid's argument negated. The gates
+    depend only on the tag, so with ``E_u`` the user's expert rows and ``w_t``
+    the tag's gate weights, ``mix · t = Σ_k w_tk (E_uk · t)`` and ``‖mix‖² =
+    w_tᵀ (E_u E_uᵀ) w_t``: one matmul each per user chunk, in float64 against
+    cancellation, with no ``[u, T, d]`` tensor. Columns ascend by tag id.
     """
     tag_ids = np.asarray(tc.tag_ids, dtype=np.int64)
     order = np.argsort(tag_ids, kind="stable")
@@ -249,7 +249,7 @@ def _all_tags_scorer(tc: TaskTagCache):
     tag_norms = np.maximum(np.linalg.norm(emb, axis=1), dg.NORM_EPS)
     experts = list(tc.expert_ids)
 
-    def score(vectors: np.ndarray) -> np.ndarray:
+    def neg_logits(vectors: np.ndarray) -> np.ndarray:
         v = vectors[:, experts, :].astype(np.float64)
         u = len(v)
         cos = v.reshape(u, k * d) @ dot_form
@@ -260,10 +260,10 @@ def _all_tags_scorer(tc: TaskTagCache):
         norms *= tag_norms
         cos /= norms
         np.clip(cos, -1.0, 1.0, out=cos)
-        cos *= tc.tau
-        return dg._sigmoid_values(cos)
+        cos *= -tc.tau  # exactly -(tau · cos): rounding is symmetric in sign
+        return cos
 
-    return tag_ids[order], score
+    return tag_ids[order], neg_logits
 
 
 def assign_topk(caches: tuple[UserCache, TagCache], top_n: int,
@@ -276,7 +276,7 @@ def assign_topk(caches: tuple[UserCache, TagCache], top_n: int,
     if top_n < 1:
         raise ConfigError("top_n must be >= 1")
     user_cache, tag_cache = caches
-    tag_ids, score = _all_tags_scorer(tag_cache[task])
+    tag_ids, neg_logits = _all_tags_scorer(tag_cache[task])
     top_n = min(top_n, len(tag_ids))
     n_users = len(user_cache.user_ids)
     ranked_tags = np.empty((n_users, top_n), dtype=np.int64)
@@ -284,15 +284,21 @@ def assign_topk(caches: tuple[UserCache, TagCache], top_n: int,
     if top_n == 0:
         return TagAssignment(task, user_cache.user_ids, ranked_tags, ranked_scores)
     for start in range(0, n_users, CACHE_BATCH):
-        scores = score(user_cache.vectors[start:start + CACHE_BATCH])
-        cols = np.argpartition(-scores, top_n - 1, axis=1)[:, :top_n]
-        picked = np.take_along_axis(scores, cols, axis=1)
-        # rows where only some of the tags tied at the top_n-th score fit:
-        # a stable sort over ascending tag ids keeps the lowest ids
-        kth = picked.min(axis=1, keepdims=True)
-        split = np.flatnonzero((scores == kth).sum(axis=1) > (picked == kth).sum(axis=1))
-        cols[split] = np.argsort(-scores[split], axis=1, kind="stable")[:, :top_n]
-        picked = np.take_along_axis(scores, cols, axis=1)
+        neg = neg_logits(user_cache.vectors[start:start + CACHE_BATCH])
+        # ranked on the sigmoid's argument: columns [:top_n] are the listed
+        # tags and column top_n, if there is one, the best tag left out; the
+        # sigmoid runs on those only
+        cols = np.argpartition(neg, min(top_n, len(tag_ids) - 1), axis=1)[:, :top_n + 1]
+        probs = dg._sigmoid_values(-np.take_along_axis(neg, cols, axis=1))
+        cols, picked = cols[:, :top_n], probs[:, :top_n]
+        # the sigmoid is monotone, so no tag left out scores above the best
+        # one; only where that one ties the last listed score may a lower id
+        # belong in the list: such rows sort the sigmoid of the whole row,
+        # stably over ascending tag ids
+        tied = np.flatnonzero((probs[:, top_n:] == picked.min(axis=1, keepdims=True)).any(axis=1))
+        scores = dg._sigmoid_values(-neg[tied])
+        cols[tied] = np.argsort(-scores, axis=1, kind="stable")[:, :top_n]
+        picked[tied] = np.take_along_axis(scores, cols[tied], axis=1)
         # score descending, then tag id ascending (columns are in tag-id order)
         order = np.lexsort((cols, -picked), axis=1)
         ranked_tags[start:start + CACHE_BATCH] = tag_ids[np.take_along_axis(cols, order, axis=1)]
@@ -319,7 +325,7 @@ def bench(model: MvkeModel, users: Sequence[tuple[int, tuple]],
 
     Rows report tower invocation counters and wall time per (n_users,
     n_tags) size; the naive side runs full forwards for every pair and
-    task.
+    task, the cached side builds caches and runs ``assign_topk`` over all tags.
     """
     rows = []
     for n_users, n_tags in sizes:
@@ -340,9 +346,7 @@ def bench(model: MvkeModel, users: Sequence[tuple[int, tuple]],
         t0 = time.perf_counter()
         user_cache, tag_cache = build_caches(model, sub_users, sub_tags, tasks)
         for task in tasks:
-            _, score = _all_tags_scorer(tag_cache[task])
-            for start in range(0, n_users, CACHE_BATCH):
-                score(user_cache.vectors[start:start + CACHE_BATCH])
+            assign_topk((user_cache, tag_cache), n_tags, task)
         cached_seconds = time.perf_counter() - t0
         cached_counts = dict(model.counters)
 

@@ -222,6 +222,7 @@ def _config_value(key, value):
     (_config_value("ctr_experts", [0.0, 1.0, 2.0]), "model.json: field 'ctr_experts'"),
     (_config_value("embed_dim", 8.9), "model.json: field 'embed_dim'"),
     (_config_value("bogus", 1), "model.json: unknown fields ['bogus']"),
+    (_config_value("head_hidden", -3), "model.json: field 'head_hidden'"),
 ])
 def test_eval_on_broken_checkpoint_is_data_error(pipeline, tmp_path, capsys,
                                                  break_it, names):
@@ -415,6 +416,7 @@ def test_unknown_mode_is_config_error(tmp_path):
     ("gen-data", {"seed": -1}, "seed"),
     ("eval", {"precision": "f16"}, "precision"),
     ("bench", {"serve": {"bench_sizes": [[-1, 5]]}}, "bench size (-1, 5)"),
+    ("train", {"model": {"head_hidden": -3}}, "head_hidden"),
 ])
 def test_bad_config_value_is_config_error(pipeline, tmp_path, capsys, command, extra, field):
     """``command`` is the subcommand, then any flags it runs with."""

@@ -286,6 +286,28 @@ def test_topk_keeps_lowest_tag_ids_of_ties_straddling_the_cut(top_n):
         assert [t for t, _ in listed] == [8, 1, 3, 6][:top_n]
 
 
+@pytest.mark.parametrize("top_n", [1, 2])
+def test_topk_saturated_scores_tie_by_ascending_tag_id(top_n):
+    # at tau 2000 tags 9, 5 and 2 (cosines 0.99, 0.95, 0.9) all score exactly
+    # 1.0 though their logits differ, and tag 7 scores 0.0: the list keeps the
+    # lowest ids of the three, not the highest logits
+    cosines = np.array([-1.0, 0.9, 0.95, 0.99])
+    emb = np.stack([cosines, np.sqrt(1.0 - cosines ** 2)], axis=1)
+    user_cache = S.UserCache([1, 2], np.array([[[1.0, 0.0]], [[3.0, 0.0]]]))
+    tc = S.TaskTagCache(Task.CTR, [7, 2, 5, 9], emb, np.ones((4, 1)), expert_ids=(0,),
+                        tau=2000.0)
+    caches = (user_cache, S.TagCache({Task.CTR: tc}))
+    _assert_topk_matches_brute_force(caches, top_n, Task.CTR)
+    for listed in S.assign_topk(caches, top_n, Task.CTR).entries.values():
+        assert listed == [(2, 1.0), (5, 1.0)][:top_n]
+
+
+@pytest.mark.parametrize("task", M.TASKS, ids=lambda t: t.value)
+def test_topk_leaving_out_one_tag_matches_brute_force(served_f64, task):
+    _, _, caches = served_f64
+    _assert_topk_matches_brute_force(caches, SMALL["n_tags"] - 1, task)
+
+
 def test_topk_of_no_tags_lists_nothing(served):
     model, users, _, _ = served
     with dg.precision("f32"):
