@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -270,41 +271,47 @@ class EncodedBatch:
 
 def _as_ids(value) -> tuple:
     """A field value as a tuple of ids: a tuple or list as is, anything else as one id."""
-    return tuple(value) if isinstance(value, (tuple, list)) else (int(value),)
+    return tuple(value) if isinstance(value, (tuple, list)) else (value,)
 
 
-def _pack_ids(values: list, vocab: int, empty_message: str,
-              bad_message: Callable[[int], str]) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row id counts ``[B]`` and all ids in row order, each checked against ``[0, vocab)``.
-
-    A value is one id or a tuple or list of ids. DataError for the first row
-    that is empty (``empty_message``) or holds an id outside the vocab
-    (``bad_message(id)``).
-    """
+def _encode_column(values: Sequence, vocab: int, what: str, empty_message: str,
+                   as_set: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """``idx [B, c]`` and mean-pooling ``weight [B, c]`` of a column of ids or tuples or
+    lists of ids; ``as_set`` sorts each row's ids and drops repeats. DataError for the
+    first row that is empty (``empty_message``) or holds an id outside ``[0, vocab)`` or
+    a non-integer one (``what`` names it), in ``sorted(set(row))`` order if ``as_set``."""
     n = len(values)
-    try:  # one id per row, read without a tuple per row
-        lengths, flat = np.ones(n, dtype=np.int64), np.fromiter(values, dtype=np.int64, count=n)
-    except (OverflowError, TypeError, ValueError):
-        rows = [_as_ids(v) for v in values]
+    kinds = set(map(type, values))
+    if kinds <= {int}:
+        lengths, ids = np.ones(n, dtype=np.int64), values
+    else:  # sequences; only a column that mixes ids and sequences is read row by row
+        rows = values if kinds <= {tuple, list} else [_as_ids(v) for v in values]
         lengths = np.fromiter(map(len, rows), dtype=np.int64, count=n)
-        try:
-            flat = np.fromiter(chain.from_iterable(rows), dtype=np.int64,
-                               count=int(lengths.sum()))
-        except (OverflowError, TypeError, ValueError):
-            flat = None
+        ids = list(chain.from_iterable(rows))
+        kinds = set(map(type, ids))
+    try:  # np.fromiter would truncate a float or bool, so only ints take this path
+        flat = np.fromiter(ids, dtype=np.int64, count=len(ids)) if kinds <= {int} else None
+    except OverflowError:
+        flat = None
     if flat is None or not (lengths.all() and ((flat >= 0) & (flat < vocab)).all()):
-        for ids in map(_as_ids, values):  # only a failing batch is scanned row by row
-            if not ids:
+        for row in map(_as_ids, values):  # only a failing batch is scanned row by row
+            row = sorted(set(row)) if as_set else row
+            if not row:
                 raise DataError(empty_message)
-            for v in ids:
-                if not 0 <= v < vocab:
-                    raise DataError(bad_message(v))
-    return lengths, flat
-
-
-def _padded(lengths: np.ndarray, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``idx [B, c]`` and mean-pooling ``weight [B, c]`` of rows of ``lengths`` ids each."""
-    filled = np.arange(lengths.max(initial=0)) < lengths[:, None]
+            for v in row:
+                if isinstance(v, (int, float, np.number)) and not 0 <= v < vocab:
+                    raise DataError(f"{what} {v} out of vocab range [0, {vocab})")
+                if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                    raise DataError(f"{what} {v!r} is not an integer")
+        flat = np.fromiter(ids, dtype=np.int64, count=len(ids))  # numpy integers
+    if as_set:  # sort each row padded with vocab, keep the first id of each run
+        grid = np.full((n, lengths.max()), vocab, dtype=np.int64)
+        grid[np.arange(grid.shape[1]) < lengths[:, None]] = flat
+        grid.sort(axis=1)
+        kept = grid < vocab
+        kept[:, 1:] &= grid[:, 1:] != grid[:, :-1]
+        lengths, flat = kept.sum(axis=1), grid[kept]
+    filled = np.arange(lengths.max()) < lengths[:, None]
     idx = np.zeros(filled.shape, dtype=np.int64)
     weight = np.zeros(filled.shape, dtype=np.float64)
     idx[filled] = flat
@@ -312,33 +319,33 @@ def _padded(lengths: np.ndarray, flat: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return idx, weight
 
 
-def encode_examples(examples: Sequence, schema: FieldSchema) -> EncodedBatch:
-    """Validate and pack examples into an EncodedBatch.
-
-    Raises DataError for an out-of-vocab id (naming the field) or an empty
-    tag set.
-    """
-    if not examples:
+def encode_user_fields(field_rows: Sequence[Sequence], schema: FieldSchema) -> EncodedBatch:
+    """A batch of users alone, from one row of field values each: its tag arrays
+    are 0 wide and its labels 0. DataError for a row with the wrong field count,
+    then as ``_encode_column`` in field order, then row order."""
+    n, m = len(field_rows), len(schema.user_fields)
+    if not n:
         raise ConfigError("cannot encode an empty batch")
-    field_idx, field_weight = [], []
-    for j, (fname, vocab) in enumerate(schema.user_fields):
-        lengths, flat = _pack_ids(
-            [ex.field_values[j] for ex in examples], vocab, f"field {fname!r} has no values",
-            lambda v: f"field {fname!r}: id {v} out of vocab range [0, {vocab})")
-        idx, w = _padded(lengths, flat)
-        field_idx.append(idx)
-        field_weight.append(w)
+    widths = np.fromiter(map(len, field_rows), dtype=np.int64, count=n)
+    if (widths != m).any():
+        row = int(np.flatnonzero(widths != m)[0])
+        raise DataError(f"row {row} has {widths[row]} user fields, the schema has {m}")
+    packed = [_encode_column(column, vocab, f"field {name!r}: id", f"field {name!r} has no values")
+              for (name, vocab), column in zip(schema.user_fields, zip(*field_rows))]
+    idx, weight = (list(arrays) for arrays in zip(*packed))
+    return EncodedBatch(n, idx, weight, np.zeros((n, 0), dtype=np.int64), np.zeros((n, 0)),
+                        np.zeros(n), np.zeros(n))
 
-    tags = schema.tag_vocab_size
-    lengths, flat = _pack_ids(
-        [tuple(sorted(set(ex.tag_set))) for ex in examples], tags,
-        "example has an empty tag set", lambda v: f"tag id {v} out of vocab range [0, {tags})")
-    tag_idx, tag_weight = _padded(lengths, flat)
 
-    n = len(examples)
-    clicks = np.fromiter((ex.click_label for ex in examples), dtype=np.float64, count=n)
-    convs = np.fromiter((ex.conversion_label for ex in examples), dtype=np.float64, count=n)
-    return EncodedBatch(n, field_idx, field_weight, tag_idx, tag_weight, clicks, convs)
+def encode_examples(examples: Sequence, schema: FieldSchema) -> EncodedBatch:
+    """Validate and pack examples; DataError as ``encode_user_fields``, then for the tags."""
+    users = encode_user_fields(list(map(attrgetter("field_values"), examples)), schema)
+    tag_idx, tag_weight = _encode_column(list(map(attrgetter("tag_set"), examples)),
+                                         schema.tag_vocab_size, "tag id",
+                                         "example has an empty tag set", as_set=True)
+    clicks, convs = (np.fromiter(map(attrgetter(label), examples), dtype=np.float64,
+                                 count=users.size) for label in ("click_label", "conversion_label"))
+    return replace(users, tag_idx=tag_idx, tag_weight=tag_weight, clicks=clicks, convs=convs)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import diffgraph as dg
 from .errors import ConfigError, DataError
-from .model import MvkeModel, Task, TASKS, encode_examples
+from .model import MvkeModel, Task, TASKS, encode_examples, encode_user_fields
 from .data import Example
 
 _HEADER = struct.Struct("<qqq")  # (vectors per row, vector dim, row count)
@@ -195,13 +195,10 @@ def build_caches(model: MvkeModel, users: Sequence[tuple[int, tuple]],
     ``users`` are (user_id, field_values) pairs; invocation counts are
     visible on ``model.counters``.
     """
-    user_ids = [u for u, _ in users]
-    chunks = []
-    for start in range(0, len(users), CACHE_BATCH):
-        part = users[start:start + CACHE_BATCH]
-        examples = [Example(u, fv, (0,), 0, 0) for u, fv in part]
-        batch = encode_examples(examples, model.cfg.schema)
-        chunks.append(model.user_expert_outputs(batch))
+    user_ids, field_rows = [u for u, _ in users], [fv for _, fv in users]
+    chunks = [model.user_expert_outputs(
+        encode_user_fields(field_rows[start:start + CACHE_BATCH], model.cfg.schema))
+        for start in range(0, len(users), CACHE_BATCH)]
     vectors = (np.concatenate(chunks) if chunks else
                np.zeros((0, model.cfg.routing.n_experts, model.cfg.schema.embed_dim),
                         dtype=model.params["virtual_kernels"].data.dtype))

@@ -372,6 +372,23 @@ def test_missing_data_dir_is_data_error(pipeline, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("count", [5, 7])
+def test_train_on_a_row_with_the_wrong_field_count_is_data_error(pipeline, tmp_path, capsys,
+                                                                  count):
+    _, cfg, data_dir, _ = pipeline
+    bad = tmp_path / "data"
+    shutil.copytree(data_dir, bad)
+    lines = (bad / "train.jsonl").read_text().splitlines()
+    doc = json.loads(lines[3])
+    doc["fields"] = (doc["fields"] + [0])[:count]
+    lines[3] = json.dumps(doc)
+    (bad / "train.jsonl").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = main(["train", "--config", cfg, "--data", str(bad), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"row 3 has {count} user fields, the schema has 6" in capsys.readouterr().err
+
+
 def test_bad_config_file_is_config_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mvke.diffgraph as dg
 import mvke.model as M
@@ -271,6 +273,71 @@ def test_encode_id_beyond_int64_is_data_error(small_cfg, bad):
     with pytest.raises(DataError) as err:
         one_example(small_cfg.schema, (1, 2, (2, bad)))
     assert str(err.value) == f"field 'habits': id {bad} out of vocab range [0, 7)"
+
+
+@pytest.mark.parametrize("fields", [(1, 2), (1, 2, 3, 4)])
+def test_encode_row_with_the_wrong_field_count_is_data_error(small_cfg, fields):
+    examples = [FakeExample((1, 2, 3), (1,)), FakeExample(fields, (1,)), FakeExample((1,), (1,))]
+    with pytest.raises(DataError) as err:
+        M.encode_examples(examples, small_cfg.schema)
+    assert str(err.value) == f"row 1 has {len(fields)} user fields, the schema has 3"
+
+
+@pytest.mark.parametrize("fields, tags, message", [
+    ((1.7, 2, 3), (1,), "field 'color': id 1.7 is not an integer"),
+    ((1, True, 3), (1,), "field 'size': id True is not an integer"),
+    ((1, 2, (2, 1.9)), (1,), "field 'habits': id 1.9 is not an integer"),
+    ((1, 2, [np.float64(3)]), (1,), f"field 'habits': id {np.float64(3)!r} is not an integer"),
+    ((1, "2", 3), (1,), "field 'size': id '2' is not an integer"),
+    ((1, 2, 3), (1.9,), "tag id 1.9 is not an integer"),
+    ((1, 2, 3), (4, True), "tag id True is not an integer"),
+])
+def test_encode_non_integer_id_is_data_error(small_cfg, fields, tags, message):
+    examples = [FakeExample((1, 2, 3), (1,)), FakeExample(fields, tags)]
+    with pytest.raises(DataError) as err:
+        M.encode_examples(examples, small_cfg.schema)
+    assert str(err.value) == message
+
+
+def test_encode_takes_numpy_integer_ids(small_cfg):
+    plain = [FakeExample((1, 2, (2, 5)), (3, 1)), FakeExample((4, 0, 6), (2,))]
+    numpy = [FakeExample((np.int64(1), np.int32(2), (np.int64(2), 5)), (np.int64(3), 1)),
+             FakeExample((4, np.uint8(0), [np.int16(6)]), (np.int64(2),))]
+    want, got = (M.encode_examples(rows, small_cfg.schema) for rows in (plain, numpy))
+    for a, b in zip([*want.field_idx, *want.field_weight, want.tag_idx, want.tag_weight],
+                    [*got.field_idx, *got.field_weight, got.tag_idx, got.tag_weight], strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+PROPERTY_SCHEMA = M.FieldSchema(user_fields=(("color", 5), ("size", 4), ("habits", 7)),
+                                tag_vocab_size=10, embed_dim=8)
+
+
+def _field_values(vocab):
+    """One id, or a tuple or list of 1-4 ids, unsorted and possibly repeated."""
+    ids = st.integers(0, vocab - 1)
+    many = st.lists(ids, min_size=1, max_size=4)
+    return st.one_of(ids, many, many.map(tuple))
+
+
+_ROWS = st.lists(st.tuples(
+    st.tuples(*(_field_values(vocab) for _, vocab in PROPERTY_SCHEMA.user_fields)),
+    st.one_of(st.lists(st.integers(0, 9), min_size=1, max_size=6),
+              st.lists(st.integers(0, 9), min_size=1, max_size=6).map(tuple)),
+    st.integers(0, 1), st.integers(0, 1)), min_size=1, max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=_ROWS)
+def test_encode_matches_the_reference_on_mixed_columns(rows):
+    examples = [FakeExample(fields, tags, click, click * conv) for fields, tags, click, conv in rows]
+    batch = M.encode_examples(examples, PROPERTY_SCHEMA)
+    got = []
+    for idx, weight in zip(batch.field_idx, batch.field_weight, strict=True):
+        got += [idx, weight]
+    got += [batch.tag_idx, batch.tag_weight, batch.clicks, batch.convs]
+    for a, b in zip(got, _reference_encoding(examples, PROPERTY_SCHEMA), strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_embedding_gradient_touches_only_looked_up_rows(small_cfg):

@@ -47,6 +47,27 @@ def test_user_cache_size_claim(served):
     assert user_cache.stored_values == k * len(users) * d
 
 
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+def test_user_cache_equals_the_expert_outputs_of_encoded_examples(precision, monkeypatch):
+    """Field values packed column by column give the user vectors that encoding
+    one ``Example`` with a placeholder tag per user gave, bit for bit."""
+    monkeypatch.setattr(S, "CACHE_BATCH", 37)  # several chunks, the last one short
+    with dg.precision(precision):
+        cfg = D.GeneratorConfig(**SMALL)
+        _, test, _ = D.generate(cfg)
+        mcfg = M.ModelConfig(schema=D.schema_for(cfg, embed_dim=8),
+                             routing=M.five_expert_routing())
+        model = M.MvkeModel(mcfg, seed=1)
+    users = D.user_roster(test)
+    got = S.build_caches(model, users, [0])[0].vectors
+    examples = [D.Example(u, fv, (0,), 0, 0) for u, fv in users]
+    want = np.concatenate([
+        model.user_expert_outputs(M.encode_examples(examples[start:start + 37], mcfg.schema))
+        for start in range(0, len(examples), 37)])
+    assert got.dtype == want.dtype == dg.codec_dtype(precision)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_cached_vectors_match_direct_expert_outputs(served):
     model, users, _, caches = served
     user_cache, _ = caches
