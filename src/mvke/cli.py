@@ -170,33 +170,48 @@ def train_config(resolved: dict) -> TrainConfig:
 
 
 def _prepare_out(resolved: dict, out_dir: str) -> Path:
+    """``out_dir``, created, holding ``resolved.json`` and the run's ``run.log``;
+    ConfigError naming ``--out`` or ``MVKE_LOG_LEVEL`` if either is unusable."""
+    try:
+        log.setLevel(os.environ.get("MVKE_LOG_LEVEL", "INFO").upper())
+    except ValueError as e:
+        raise ConfigError(f"bad environment variable MVKE_LOG_LEVEL: {e}") from e
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "resolved.json").write_text(
-        json.dumps(resolved, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    handler = logging.FileHandler(out / "run.log")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "resolved.json").write_text(
+            json.dumps(resolved, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        handler = logging.FileHandler(out / "run.log")
+    except OSError as e:
+        raise ConfigError(f"bad --out {out_dir}: {e}") from e
     handler.setFormatter(logging.Formatter("%(asctime)s %(levelname)s %(message)s"))
     log.addHandler(handler)
-    log.setLevel(os.environ.get("MVKE_LOG_LEVEL", "INFO").upper())
     return out
 
 
-def _load_datasets(data_dir: str):
-    base = Path(data_dir)
-    train_path = base / "train.jsonl"
-    test_path = base / "test.jsonl"
-    if not train_path.exists() or not test_path.exists():
-        raise DataError(f"expected train.jsonl and test.jsonl under {base}")
-    return data_mod.read_dataset(train_path), data_mod.read_dataset(test_path)
+def _read_split(args, split: str) -> list:
+    """The rows of ``<--data>/<split>.jsonl``; DataError naming the file if it is missing."""
+    path = Path(args.data) / f"{split}.jsonl"
+    if not path.exists():
+        raise DataError(f"no {path.name} under {path.parent}")
+    return data_mod.read_dataset(path)
+
+
+def _load_mixture(args) -> MvkeModel:
+    """The ``--ckpt`` model; ConfigError unless it is a mixture."""
+    model = load_model(args.ckpt)
+    if model.kind != "mvke":
+        raise ConfigError(f"{args.command} needs a mixture checkpoint, "
+                          f"got a {model.kind} one from {args.ckpt}")
+    return model
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes the parsed flags, the resolved config and the
+# prepared output directory
 
 
-def cmd_gen_data(args) -> int:
-    resolved = resolve_config(args.config, args)
-    out = _prepare_out(resolved, args.out)
+def cmd_gen_data(args, resolved: dict, out: Path) -> int:
     gen_cfg = generator_config(resolved)
     log.info("generating dataset: %s", gen_cfg)
     train, test, truth = data_mod.generate(gen_cfg)
@@ -218,30 +233,22 @@ def build_model(resolved: dict):
     return MvkeModel(cfg, seed=seed)
 
 
-def cmd_train(args) -> int:
-    resolved = resolve_config(args.config, args)
-    out = _prepare_out(resolved, args.out)
-    dg.set_precision(resolved["precision"])
-    train_ds, test_ds = _load_datasets(args.data)
-    model = build_model(resolved)
-    tcfg = train_config(resolved)
-    log.info("training %s in mode %s for %d epochs", model.kind,
-             resolved["mode"], tcfg.epochs)
-    _, history = fit(model, train_ds, test_ds, tcfg)
+def cmd_train(args, resolved: dict, out: Path) -> int:
+    train_ds, test_ds = _read_split(args, "train"), _read_split(args, "test")
+    with dg.precision(resolved["precision"]):
+        model = build_model(resolved)
+        tcfg = train_config(resolved)
+        log.info("training %s in mode %s for %d epochs", model.kind,
+                 resolved["mode"], tcfg.epochs)
+        _, history = fit(model, train_ds, test_ds, tcfg)
     save_model(model, out / "checkpoint")
-    eval_mod.write_csv(
-        [{"epoch": h["epoch"], "train_loss": h["train_loss"],
-          "ctr_auc": h["ctr_auc"], "cvr_auc": h["cvr_auc"]} for h in history],
-        out / "history.csv",
-        fieldnames=["epoch", "train_loss", "ctr_auc", "cvr_auc"])
+    eval_mod.write_csv(history, out / "history.csv")
     log.info("saved checkpoint and history")
     return 0
 
 
-def cmd_eval(args) -> int:
-    resolved = resolve_config(args.config, args)
-    out = _prepare_out(resolved, args.out)
-    _, test_ds = _load_datasets(args.data)
+def cmd_eval(args, resolved: dict, out: Path) -> int:
+    test_ds = _read_split(args, "test")
     model = load_model(args.ckpt)
     report = eval_mod.evaluate(model, test_ds, model_id=resolved["mode"],
                                seed=resolved["seed"])
@@ -251,43 +258,33 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    resolved = resolve_config(args.config, args)
-    out = _prepare_out(resolved, args.out)
-    dg.set_precision(resolved["precision"])
-    train_ds, test_ds = _load_datasets(args.data)
+def cmd_sweep(args, resolved: dict, out: Path) -> int:
     counts = _field(resolved, "eval", "sweep_counts", _ints)
-    rows = eval_mod.sensitivity_sweep(counts, train_ds, test_ds,
-                                      model_config(resolved),
-                                      train_config(resolved),
-                                      seed=resolved["seed"] + 1)
+    train_ds, test_ds = _read_split(args, "train"), _read_split(args, "test")
+    with dg.precision(resolved["precision"]):
+        rows = eval_mod.sensitivity_sweep(counts, train_ds, test_ds,
+                                          model_config(resolved),
+                                          train_config(resolved),
+                                          seed=resolved["seed"] + 1)
     eval_mod.write_csv(rows, out / "sweep.csv",
                        fieldnames=["n_experts", "ctr_auc", "cvr_auc"])
     return 0
 
 
-def cmd_export_attention(args) -> int:
-    resolved = resolve_config(args.config, args)
-    out = _prepare_out(resolved, args.out)
-    model = load_model(args.ckpt)
-    if model.kind != "mvke":
-        raise ConfigError("gate-weight export needs a mixture checkpoint")
+def cmd_export_attention(args, resolved: dict, out: Path) -> int:
+    model = _load_mixture(args)
     rows = eval_mod.export_gate_weights(model)
     names = ["task", "tag_id"] + [f"expert_{e}" for e in range(model.cfg.routing.n_experts)]
     eval_mod.write_csv(rows, out / "weights.csv", fieldnames=names)
     return 0
 
 
-def cmd_predict(args) -> int:
-    resolved = resolve_config(args.config, args)
+def cmd_predict(args, resolved: dict, out: Path) -> int:
     top_n = _field(resolved, "serve", "topk", _int)
     if top_n < 1:
         raise ConfigError("topk must be >= 1")
-    out = _prepare_out(resolved, args.out)
-    _, test_ds = _load_datasets(args.data)
-    model = load_model(args.ckpt)
-    if model.kind != "mvke":
-        raise ConfigError("the cached prediction path needs a mixture checkpoint")
+    test_ds = _read_split(args, "test")
+    model = _load_mixture(args)
     users = data_mod.user_roster(test_ds)
     tags = list(range(model.cfg.schema.tag_vocab_size))
     caches = serve_mod.build_caches(model, users, tags)
@@ -301,17 +298,13 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    resolved = resolve_config(args.config, args)
-    out = _prepare_out(resolved, args.out)
-    _, test_ds = _load_datasets(args.data)
-    model = load_model(args.ckpt)
-    if model.kind != "mvke":
-        raise ConfigError("bench needs a mixture checkpoint")
-    users = data_mod.user_roster(test_ds)
-    tags = list(range(model.cfg.schema.tag_vocab_size))
+def cmd_bench(args, resolved: dict, out: Path) -> int:
     sizes = _field(resolved, "serve", "bench_sizes",
                    lambda pairs: [(_int(u), _int(t)) for u, t in pairs])
+    test_ds = _read_split(args, "test")
+    model = _load_mixture(args)
+    users = data_mod.user_roster(test_ds)
+    tags = list(range(model.cfg.schema.tag_vocab_size))
     rows = serve_mod.bench(model, users, tags, sizes)
     eval_mod.write_csv(rows, out / "bench.csv",
                        fieldnames=["n_users", "n_tags", "n_tasks",
@@ -383,7 +376,8 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 0 if e.code == 0 else 1
     try:
-        return args.func(args)
+        resolved = resolve_config(args.config, args)
+        return args.func(args, resolved, _prepare_out(resolved, args.out))
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import diffgraph as dg
 from .errors import ConfigError, DataError
-from .model import FieldSchema, Task
+from .model import FieldSchema, Task, _int
 
 LATENT_CORRELATION = 0.5
 
@@ -311,13 +311,6 @@ def write_dataset(dataset: Iterable[Example], path) -> None:
             fh.write(json.dumps(record, separators=(",", ":")) + "\n")
 
 
-def _json_int(value) -> int:
-    """``value`` itself if it is a JSON integer; ValueError for anything else, a bool included."""
-    if type(value) is not int:
-        raise ValueError(f"expected an integer, got {value!r}")
-    return value
-
-
 def read_dataset(path) -> list[Example]:
     """Rows from ``write_dataset``; DataError naming the file and line of a malformed one.
 
@@ -332,12 +325,12 @@ def read_dataset(path) -> list[Example]:
             try:
                 doc = json.loads(line)
                 ex = Example(
-                    user_id=_json_int(doc["user_id"]),
-                    field_values=tuple(tuple(map(_json_int, v)) if isinstance(v, list)
-                                       else _json_int(v) for v in doc["fields"]),
-                    tag_set=tuple(map(_json_int, doc["tags"])),
-                    click_label=_json_int(doc["click"]),
-                    conversion_label=_json_int(doc["conv"]),
+                    user_id=_int(doc["user_id"]),
+                    field_values=tuple(tuple(map(_int, v)) if isinstance(v, list)
+                                       else _int(v) for v in doc["fields"]),
+                    tag_set=tuple(map(_int, doc["tags"])),
+                    click_label=_int(doc["click"]),
+                    conversion_label=_int(doc["conv"]),
                 )
                 if ex.click_label not in (0, 1) or ex.conversion_label not in (0, 1):
                     raise DataError("labels must be 0/1")

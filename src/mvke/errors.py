@@ -4,6 +4,8 @@ The CLI maps these onto exit codes: ConfigError -> 1, DataError -> 2,
 NumericsError -> 3.
 """
 
+from contextlib import contextmanager
+
 
 class MvkeError(Exception):
     """Base class for all package errors."""
@@ -15,6 +17,15 @@ class ConfigError(MvkeError):
 
 class DataError(MvkeError):
     """Malformed or inconsistent input data."""
+
+
+@contextmanager
+def prefix_data_errors(where: str):
+    """Re-raise a DataError from the block with ``where: `` before its message."""
+    try:
+        yield
+    except DataError as e:
+        raise DataError(f"{where}: {e}") from e
 
 
 class UndefinedMetricError(DataError):

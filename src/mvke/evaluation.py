@@ -6,13 +6,12 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, UndefinedMetricError
-from .model import (EncodedBatch, ModelConfig, MvkeModel, Task, TASKS,
-                    encode_examples, split_routing)
+from .errors import ConfigError, UndefinedMetricError, prefix_data_errors
+from .model import EncodedBatch, ModelConfig, MvkeModel, Task, encode_examples, split_routing
 
 EVAL_BATCH = 1024
 
@@ -73,17 +72,17 @@ def predict_dataset(model, batch: EncodedBatch, task: Task) -> np.ndarray:
     return np.concatenate(chunks)
 
 
-def evaluate(model, dataset: Sequence, tasks: Iterable[Task] | None = None,
-             model_id: str | None = None, seed: int = 0) -> EvalReport:
-    """AUC per task over a dataset; deterministic in (params, dataset).
+def evaluate(model, dataset: Sequence, model_id: str | None = None,
+             seed: int = 0) -> EvalReport:
+    """AUC of each of ``model.tasks`` over a dataset; deterministic in (params, dataset).
 
     The CVR task is scored over all impressions against the conversion
     label, the same convention the training loss uses.
     """
-    tasks = tuple(tasks) if tasks is not None else model.tasks
-    batch = encode_examples(dataset, model.cfg.schema)
+    with prefix_data_errors("evaluation split"):
+        batch = encode_examples(dataset, model.cfg.schema)
     aucs, counts, positives = {}, {}, {}
-    for task in tasks:
+    for task in model.tasks:
         scores = predict_dataset(model, batch, task)
         labels = batch.label(task)
         aucs[task] = auc(scores, labels)
@@ -108,16 +107,15 @@ def sensitivity_sweep(expert_counts: Sequence[int], train_ds: Sequence,
                           head_hidden=base_cfg.head_hidden, tau_init=base_cfg.tau_init)
         model = MvkeModel(cfg, seed=seed)
         fit(model, train_ds, test_ds, train_cfg)
-        report = evaluate(model, test_ds, TASKS, model_id=f"mvke-k{k}", seed=seed)
+        report = evaluate(model, test_ds, model_id=f"mvke-k{k}", seed=seed)
         rows.append({"n_experts": k,
                      "ctr_auc": report.aucs[Task.CTR],
                      "cvr_auc": report.aucs[Task.CVR]})
     return rows
 
 
-def export_gate_weights(model: MvkeModel, tag_ids: Sequence[int] | None = None,
-                        tasks: Iterable[Task] = TASKS) -> list[dict]:
-    """Per-tag gate weights for each task.
+def export_gate_weights(model: MvkeModel, tag_ids: Sequence[int] | None = None) -> list[dict]:
+    """Per-tag gate weights for each of ``model.tasks``.
 
     One row per (task, tag); the weight columns cover all experts and the
     entries for experts outside the task's routing set are None (written
@@ -126,7 +124,7 @@ def export_gate_weights(model: MvkeModel, tag_ids: Sequence[int] | None = None,
     if tag_ids is None:
         tag_ids = range(model.cfg.schema.tag_vocab_size)
     rows = []
-    for task in tasks:
+    for task in model.tasks:
         experts = model.cfg.routing.task_experts(task)
         _, gates, _ = model.tag_side(task, list(tag_ids))
         for i, tag in enumerate(tag_ids):

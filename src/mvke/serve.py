@@ -188,9 +188,8 @@ CACHE_BATCH = 512
 
 
 def build_caches(model: MvkeModel, users: Sequence[tuple[int, tuple]],
-                 tags: Sequence[int],
-                 tasks: Sequence[Task] = TASKS) -> tuple[UserCache, TagCache]:
-    """One user-tower pass per user, one tag-tower pass per tag per task.
+                 tags: Sequence[int]) -> tuple[UserCache, TagCache]:
+    """One user-tower pass per user, one tag-tower pass per tag for each of ``model.tasks``.
 
     ``users`` are (user_id, field_values) pairs; invocation counts are
     visible on ``model.counters``.
@@ -205,7 +204,7 @@ def build_caches(model: MvkeModel, users: Sequence[tuple[int, tuple]],
     user_cache = UserCache(user_ids, vectors)
 
     per_task = {}
-    for task in tasks:
+    for task in model.tasks:
         tag_ids = [int(t) for t in tags]
         emb, gates, tau = model.tag_side(task, tag_ids)
         per_task[task] = TaskTagCache(task, tag_ids, emb, gates,
@@ -316,8 +315,7 @@ def naive_scores(model: MvkeModel, users: Sequence[tuple[int, tuple]],
 
 
 def bench(model: MvkeModel, users: Sequence[tuple[int, tuple]],
-          tags: Sequence[int], sizes: Sequence[tuple[int, int]],
-          tasks: Sequence[Task] = TASKS) -> list[dict]:
+          tags: Sequence[int], sizes: Sequence[tuple[int, int]]) -> list[dict]:
     """Compare naive per-pair inference against the cached path.
 
     Rows report tower invocation counters and wall time per (n_users,
@@ -334,15 +332,15 @@ def bench(model: MvkeModel, users: Sequence[tuple[int, tuple]],
 
         model.reset_counters()
         t0 = time.perf_counter()
-        for task in tasks:
+        for task in model.tasks:
             naive_scores(model, sub_users, sub_tags, task)
         naive_seconds = time.perf_counter() - t0
         naive_counts = dict(model.counters)
 
         model.reset_counters()
         t0 = time.perf_counter()
-        user_cache, tag_cache = build_caches(model, sub_users, sub_tags, tasks)
-        for task in tasks:
+        user_cache, tag_cache = build_caches(model, sub_users, sub_tags)
+        for task in model.tasks:
             assign_topk((user_cache, tag_cache), n_tags, task)
         cached_seconds = time.perf_counter() - t0
         cached_counts = dict(model.counters)
@@ -350,7 +348,7 @@ def bench(model: MvkeModel, users: Sequence[tuple[int, tuple]],
         rows.append({
             "n_users": n_users,
             "n_tags": n_tags,
-            "n_tasks": len(tasks),
+            "n_tasks": len(model.tasks),
             "naive_user_tower": naive_counts["user_tower"],
             "naive_tag_tower": naive_counts["tag_tower"],
             "cached_user_tower": cached_counts["user_tower"],
@@ -371,7 +369,7 @@ def save_caches(caches: tuple[UserCache, TagCache], out_dir) -> None:
         tc.save(out / f"tag_cache_{task.value}.bin", out / f"tag_cache_{task.value}.json")
 
 
-def load_caches(cache_dir, tasks: Sequence[Task] = TASKS) -> tuple[UserCache, TagCache]:
+def load_caches(cache_dir) -> tuple[UserCache, TagCache]:
     cache = Path(cache_dir)
     user_bin = cache / "user_cache.bin"
     if not user_bin.exists():
@@ -380,5 +378,5 @@ def load_caches(cache_dir, tasks: Sequence[Task] = TASKS) -> tuple[UserCache, Ta
     per_task = {task: TaskTagCache.load(cache / f"tag_cache_{task.value}.bin",
                                         cache / f"tag_cache_{task.value}.json",
                                         user_cache.vectors.shape[1])
-                for task in tasks}
+                for task in TASKS}
     return user_cache, TagCache(per_task)

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import diffgraph as dg
 from .diffgraph import Tensor
-from .errors import ConfigError, NumericsError, TrainingDivergenceError
+from .errors import ConfigError, NumericsError, TrainingDivergenceError, prefix_data_errors
 from .evaluation import auc, predict_dataset
 from .model import (EncodedBatch, ModelConfig, Task, TASKS, encode_examples,
                     mvke_forward, two_tower_forward)
@@ -150,8 +150,10 @@ def fit(model, train_ds: Sequence, valid_ds: Sequence,
     if the loss goes non-finite.
     """
     tasks = mode_tasks(cfg.mode) if model.kind == "mvke" else model.tasks
-    train_batch = encode_examples(train_ds, model.cfg.schema)
-    valid_batch = encode_examples(valid_ds, model.cfg.schema)
+    with prefix_data_errors("training split"):
+        train_batch = encode_examples(train_ds, model.cfg.schema)
+    with prefix_data_errors("validation split"):
+        valid_batch = encode_examples(valid_ds, model.cfg.schema)
     optimizer = Adam(model.params, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)
     rng = np.random.default_rng(cfg.seed)
 

@@ -344,7 +344,7 @@ def test_sweep_emits_requested_counts(pipeline, tmp_path):
     assert [int(r["n_experts"]) for r in rows] == [4, 5]
 
 
-def test_mode_flag_controls_model_kind(pipeline, tmp_path):
+def test_mode_flag_controls_model_kind(pipeline, tmp_path, capsys):
     _, cfg, data_dir, _ = pipeline
     out = tmp_path / "nomtl"
     assert main(["train", "--config", cfg, "--data", str(data_dir),
@@ -354,6 +354,12 @@ def test_mode_flag_controls_model_kind(pipeline, tmp_path):
     assert meta["task"] == "ctr"
     history = read_csv(out / "history.csv")
     assert history[0]["cvr_auc"] == ""
+    for command in ("predict", "bench", "export-attention"):
+        data = [] if command == "export-attention" else ["--data", str(data_dir)]
+        capsys.readouterr()
+        assert main([command, "--config", cfg, *data, "--ckpt", str(out / "checkpoint"),
+                     "--out", str(tmp_path / command)]) == 1
+        assert f"{command} needs a mixture checkpoint" in capsys.readouterr().err
 
 
 def test_vke_count_flag_overrides_routing(pipeline, tmp_path):
@@ -372,21 +378,74 @@ def test_missing_data_dir_is_data_error(pipeline, tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("count", [5, 7])
-def test_train_on_a_row_with_the_wrong_field_count_is_data_error(pipeline, tmp_path, capsys,
-                                                                  count):
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_training_without_the_test_split_is_a_data_error_naming_it(pipeline, tmp_path, capsys,
+                                                                    command):
     _, cfg, data_dir, _ = pipeline
+    only_train = tmp_path / "data"
+    only_train.mkdir()
+    shutil.copy(data_dir / "train.jsonl", only_train)
+    capsys.readouterr()
+    assert main([command, "--config", cfg, "--data", str(only_train),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "test.jsonl" in err and "train.jsonl" not in err
+
+
+def test_eval_predict_and_bench_read_only_the_test_split(pipeline, tmp_path):
+    """``eval``, ``predict`` and ``bench`` need only ``test.jsonl`` and write the same files."""
+    _, cfg, data_dir, train_dir = pipeline
+    only_test = tmp_path / "only_test"
+    only_test.mkdir()
+    shutil.copy(data_dir / "test.jsonl", only_test)
+    outputs = {}
+    for data in (data_dir, only_test):
+        base = tmp_path / data.name
+        for command in ("eval", "predict", "bench"):
+            assert main([command, "--config", cfg, "--data", str(data),
+                         "--ckpt", str(train_dir / "checkpoint"),
+                         "--out", str(base / command)]) == 0
+        bench = [{k: v for k, v in row.items() if not k.endswith(("seconds", "speedup"))}
+                 for row in read_csv(base / "bench" / "bench.csv")]
+        outputs[data] = [bench] + [(base / sub).read_bytes() for sub in (
+            "eval/report.csv", "predict/assignments.csv", "predict/caches/user_cache.bin",
+            "predict/caches/tag_cache_ctr.bin", "predict/caches/tag_cache_cvr.bin")]
+    assert outputs[data_dir] == outputs[only_test]
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_main_restores_the_precision_it_found(pipeline, tmp_path, command):
+    _, cfg, data_dir, _ = pipeline
+    for found, run in (("f32", "f64"), ("f64", "f32")):
+        with dg.precision(found):
+            assert main([command, "--config", cfg, "--data", str(data_dir),
+                         "--precision", run, "--out", str(tmp_path / run)]) == 0
+            assert dg.dtype_name(dg.Tensor([1.0]).data) == found
+
+
+@pytest.mark.parametrize("count, split, command, where", [
+    (5, "train", "train", "training split"),
+    (7, "train", "train", "training split"),
+    (5, "test", "train", "validation split"),
+    (7, "test", "eval", "evaluation split"),
+])
+def test_a_row_with_the_wrong_field_count_is_a_data_error_naming_its_split(
+        pipeline, tmp_path, capsys, count, split, command, where):
+    _, cfg, data_dir, train_dir = pipeline
     bad = tmp_path / "data"
     shutil.copytree(data_dir, bad)
-    lines = (bad / "train.jsonl").read_text().splitlines()
+    lines = (bad / f"{split}.jsonl").read_text().splitlines()
     doc = json.loads(lines[3])
     doc["fields"] = (doc["fields"] + [0])[:count]
     lines[3] = json.dumps(doc)
-    (bad / "train.jsonl").write_text("\n".join(lines) + "\n")
+    (bad / f"{split}.jsonl").write_text("\n".join(lines) + "\n")
     capsys.readouterr()
-    code = main(["train", "--config", cfg, "--data", str(bad), "--out", str(tmp_path / "out")])
+    ckpt = ["--ckpt", str(train_dir / "checkpoint")] if command == "eval" else []
+    code = main([command, "--config", cfg, "--data", str(bad), *ckpt,
+                 "--out", str(tmp_path / "out")])
     assert code == 2
-    assert f"row 3 has {count} user fields, the schema has 6" in capsys.readouterr().err
+    assert (f"{where}: row 3 has {count} user fields, the schema has 6"
+            in capsys.readouterr().err)
 
 
 def test_bad_config_file_is_config_error(tmp_path):
@@ -434,13 +493,21 @@ def test_unknown_mode_is_config_error(tmp_path):
     ("eval", {"precision": "f16"}, "precision"),
     ("bench", {"serve": {"bench_sizes": [[-1, 5]]}}, "bench size (-1, 5)"),
     ("train", {"model": {"head_hidden": -3}}, "head_hidden"),
+    ("MVKE_LOG_LEVEL=bogus gen-data", {}, "MVKE_LOG_LEVEL"),
+    ("gen-data --out config.json/o", {}, "--out config.json/o"),
 ])
-def test_bad_config_value_is_config_error(pipeline, tmp_path, capsys, command, extra, field):
-    """``command`` is the subcommand, then any flags it runs with."""
+def test_bad_config_value_is_config_error(pipeline, tmp_path, capsys, monkeypatch,
+                                          command, extra, field):
+    """``command`` is any ``NAME=value`` environment settings, the subcommand, then any
+    flags it runs with; a relative path in them starts at ``tmp_path``."""
     _, _, data_dir, train_dir = pipeline
-    command, *flags = command.split()
-    argv = [command, *flags, "--config", write_config(tmp_path, extra),
-            "--out", str(tmp_path / "o")]
+    words = command.split()
+    while "=" in words[0]:
+        monkeypatch.setenv(*words.pop(0).split("=", 1))
+    command, *flags = words
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--config", write_config(tmp_path, extra),
+            "--out", str(tmp_path / "o"), *flags]
     if command != "gen-data":
         argv += ["--data", str(data_dir)]
     if command not in ("gen-data", "train", "sweep"):
