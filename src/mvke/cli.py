@@ -375,6 +375,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 0 if e.code == 0 else 1
+    level = log.level
     try:
         resolved = resolve_config(args.config, args)
         return args.func(args, resolved, _prepare_out(resolved, args.out))
@@ -394,6 +395,7 @@ def main(argv=None) -> int:
         for handler in list(log.handlers):
             log.removeHandler(handler)
             handler.close()
+        log.setLevel(level)
 
 
 def entry() -> None:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -76,6 +77,8 @@ class GeneratorConfig:
                      "n_test_impressions", "latent_dim", "n_facets"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
+        if self.n_tags < 3:  # an ad draws up to 3 distinct tags
+            raise ConfigError(f"n_tags must be >= 3, got {self.n_tags}")
         if self.negative_ratio < 0:
             raise ConfigError("negative_ratio must be >= 0")
 
@@ -202,19 +205,31 @@ def _field_latents(rng: np.random.Generator, user_fields: list[tuple],
 
     Contribution entries are unit normal, so scaling the mean of m fields
     by sqrt(m) keeps the latent entries near unit variance. Returns shape
-    [n_users, n_facets, latent_dim].
+    [n_users, n_facets, latent_dim]. One gather per field column; a
+    multi-valued field's rows are summed in id order, then divided by the
+    count, as a per-user ``mean`` does, bit for bit.
     """
     tables = [rng.normal(size=(vocab, n_facets, latent_dim))
               for _, vocab, _ in FIELD_LAYOUT]
     m = len(FIELD_LAYOUT)
-    out = np.zeros((len(user_fields), n_facets, latent_dim))
-    for u, values in enumerate(user_fields):
-        acc = np.zeros((n_facets, latent_dim))
-        for j, raw in enumerate(values):
-            ids = raw if isinstance(raw, tuple) else (raw,)
-            acc += tables[j][list(ids)].mean(axis=0)
-        out[u] = acc / m * math.sqrt(m)
-    return out
+    n = len(user_fields)
+    acc = np.zeros((n, n_facets, latent_dim))
+    for j, (table, (_, _, max_vals)) in enumerate(zip(tables, FIELD_LAYOUT)):
+        # a list per column, not zip(*user_fields): that makes one tuple
+        # iterator per user, which the garbage collector counts as new objects
+        column = [values[j] for values in user_fields]
+        if max_vals == 1:
+            acc += table[np.fromiter(column, np.int64, n)]
+            continue
+        counts = np.fromiter(map(len, column), np.int64, n)
+        ids = np.fromiter(chain.from_iterable(column), np.int64, int(counts.sum()))
+        first = np.cumsum(counts) - counts  # each user's first id in ids
+        total = table[ids[first]]
+        for i in range(1, max_vals):
+            has = counts > i
+            total[has] += table[ids[first[has] + i]]
+        acc += total / counts[:, None, None]
+    return acc / m * math.sqrt(m)
 
 
 def _draw_impressions(rng: np.random.Generator, config: GeneratorConfig,

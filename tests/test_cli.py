@@ -1,5 +1,6 @@
 import csv
 import json
+import logging
 import os
 import shutil
 import subprocess
@@ -423,6 +424,20 @@ def test_main_restores_the_precision_it_found(pipeline, tmp_path, command):
             assert dg.dtype_name(dg.Tensor([1.0]).data) == found
 
 
+def test_main_restores_the_log_level_it_found(tmp_path, monkeypatch):
+    monkeypatch.setenv("MVKE_LOG_LEVEL", "debug")
+    logger = logging.getLogger("mvke")
+    before = logger.level
+    try:
+        for found in (logging.NOTSET, logging.WARNING):
+            logger.setLevel(found)
+            assert main(["gen-data", "--config", write_config(tmp_path),
+                         "--out", str(tmp_path / str(found))]) == 0
+            assert logger.level == found
+    finally:
+        logger.setLevel(before)
+
+
 @pytest.mark.parametrize("count, split, command, where", [
     (5, "train", "train", "training split"),
     (7, "train", "train", "training split"),
@@ -495,6 +510,7 @@ def test_unknown_mode_is_config_error(tmp_path):
     ("train", {"model": {"head_hidden": -3}}, "head_hidden"),
     ("MVKE_LOG_LEVEL=bogus gen-data", {}, "MVKE_LOG_LEVEL"),
     ("gen-data --out config.json/o", {}, "--out config.json/o"),
+    ("gen-data", {"data": {"n_tags": 2}}, "n_tags"),
 ])
 def test_bad_config_value_is_config_error(pipeline, tmp_path, capsys, monkeypatch,
                                           command, extra, field):

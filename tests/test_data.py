@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -25,6 +26,8 @@ def test_config_validation():
         D.GeneratorConfig(n_users=0)
     with pytest.raises(ConfigError):
         D.GeneratorConfig(negative_ratio=-1)
+    with pytest.raises(ConfigError, match="n_tags"):
+        D.GeneratorConfig(n_tags=2)  # an ad draws up to 3 distinct tags
 
 
 def test_generation_is_deterministic(small_gen):
@@ -32,6 +35,60 @@ def test_generation_is_deterministic(small_gen):
     train2, test2, _ = D.generate(D.GeneratorConfig(**SMALL))
     assert train == train2
     assert test == test2
+
+
+def _split_digest(rows) -> str:
+    return hashlib.sha256(repr([(ex.user_id, ex.field_values, ex.tag_set, ex.click_label,
+                                 ex.conversion_label) for ex in rows]).encode()).hexdigest()
+
+
+def _array_digest(arr: np.ndarray) -> str:
+    return hashlib.sha256(f"{arr.dtype}{arr.shape}".encode() + arr.tobytes()).hexdigest()
+
+
+# sha256 of generate(GeneratorConfig(**SMALL))'s output, pinned when the field
+# latents were vectorized; the generator's output must not move
+SMALL_DIGESTS = {
+    "train": "aa950fe632e478ecd0d6ef5e2018360b830eac3883d0acff084e38d21723a061",
+    "test": "cd14deaa11091f8d0ef17764089769f02a324632d662552bee180b718ba9b8e2",
+    "user_click": "e8ef763898346d5c8ce732de078edfe0be5e8f225df8d3d7c4c43744bea88a19",
+    "user_conv": "6963ebbd4a94d701c0f2639e64afc460dfa5b87322085d0e14ce5f432b08a8f8",
+    "tag_vectors": "2a82b1737782518c514425d8e4ac396716c53d26975e1cb5d1e450be5a53fee1",
+    "tag_facets": "ef0f4f3a588bf634c846e5559f79755be451a1242c5546ce3e5dd80411a8053e",
+}
+
+
+def test_generate_output_is_pinned(small_gen):
+    _, train, test, truth = small_gen
+    got = {"train": _split_digest(train), "test": _split_digest(test),
+           **{name: _array_digest(getattr(truth, name))
+              for name in ("user_click", "user_conv", "tag_vectors", "tag_facets")}}
+    assert got == SMALL_DIGESTS
+
+
+def _field_latents_per_user(rng, user_fields, latent_dim, n_facets):
+    """Reference: the per-user loop, one ``mean`` per field value list."""
+    tables = [rng.normal(size=(vocab, n_facets, latent_dim))
+              for _, vocab, _ in D.FIELD_LAYOUT]
+    m = len(D.FIELD_LAYOUT)
+    out = np.zeros((len(user_fields), n_facets, latent_dim))
+    for u, values in enumerate(user_fields):
+        acc = np.zeros((n_facets, latent_dim))
+        for j, raw in enumerate(values):
+            ids = raw if isinstance(raw, tuple) else (raw,)
+            acc += tables[j][list(ids)].mean(axis=0)
+        out[u] = acc / m * math.sqrt(m)
+    return out
+
+
+@pytest.mark.parametrize("n_facets", [1, 3])
+def test_field_latents_equal_the_per_user_loop(n_facets):
+    user_fields = D._draw_user_fields(np.random.default_rng(11), 300)
+    assert {len(values[-1]) for values in user_fields} == {1, 2, 3}
+    got = D._field_latents(np.random.default_rng(5), user_fields, 6, n_facets)
+    want = _field_latents_per_user(np.random.default_rng(5), user_fields, 6, n_facets)
+    assert got.shape == (300, n_facets, 6)
+    assert np.array_equal(got, want)
 
 
 def test_conversion_rate_below_click_rate(small_gen):
