@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import struct
 
@@ -96,6 +97,60 @@ def test_cached_scores_match_full_forward(served):
             assert cached == pytest.approx(full, abs=1e-6)
 
 
+def _reference_score(user_id, tag_id, task, caches):
+    """The lookup as first written: gate weights times the task's expert rows,
+    picked by a fancy index, and every product through ``@``."""
+    user_cache, tag_cache = caches
+    tc = tag_cache[task]
+    row = tc.row(tag_id)
+    mixed = tc.gate_weights[row] @ user_cache.lookup(user_id)[list(tc.expert_ids)]
+    tag_vec = tc.embeddings[row]
+    norms = (max(math.sqrt(float(mixed @ mixed)), dg.NORM_EPS)
+             * max(math.sqrt(float(tag_vec @ tag_vec)), dg.NORM_EPS))
+    cos = min(max(float(mixed @ tag_vec) / norms, -1.0), 1.0)
+    return dg._sigmoid_scalar(tc.tau * cos)
+
+
+# CTR's experts are not contiguous, CVR's are not a prefix of 0..k-1
+SCATTERED = dict(n_experts=5, ctr_experts=(0, 2, 4), cvr_experts=(1, 2, 3))
+
+
+def _routed_model(precision, routing):
+    with dg.precision(precision):
+        cfg = D.GeneratorConfig(**SMALL)
+        _, test, _ = D.generate(cfg)
+        mcfg = M.ModelConfig(schema=D.schema_for(cfg, embed_dim=8), routing=routing)
+        return M.MvkeModel(mcfg, seed=3), D.user_roster(test), list(range(cfg.n_tags))
+
+
+@pytest.mark.parametrize("routing", [M.five_expert_routing(), M.ExpertRouting(**SCATTERED)],
+                         ids=["default", "scattered"])
+def test_lookup_agrees_with_the_reference_on_every_pair(routing):
+    model, users, tags = _routed_model("f64", routing)
+    with dg.precision("f64"):
+        caches = S.build_caches(model, users, tags)
+    for task in M.TASKS:
+        assert caches[1][task].expert_ids == routing.task_experts(task)
+        got = [S.score_from_cache(u, t, task, caches) for u, _ in users for t in tags]
+        want = [_reference_score(u, t, task, caches) for u, _ in users for t in tags]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_cached_scores_with_scattered_experts_match_full_forward():
+    model, users, tags = _routed_model("f32", M.ExpertRouting(**SCATTERED))
+    with dg.precision("f32"):
+        caches = S.build_caches(model, users, tags)
+        rng = np.random.default_rng(1)
+        for _ in range(60):
+            user_id, fields = users[rng.integers(len(users))]
+            tag = int(rng.integers(len(tags)))
+            task = M.TASKS[rng.integers(len(M.TASKS))]
+            one = M.encode_examples([D.Example(user_id, fields, (tag,), 0, 0)],
+                                    model.cfg.schema)
+            assert (S.score_from_cache(user_id, tag, task, caches)
+                    == pytest.approx(model.predict(one, task)[0], abs=1e-6))
+
+
 def test_cached_score_is_pure(served):
     _, users, _, caches = served
     once = S.score_from_cache(users[0][0], 3, Task.CVR, caches)
@@ -137,6 +192,17 @@ def test_cached_scores_clamp_each_norm_like_the_forward(user_norm):
     np.testing.assert_allclose(looked_up, want, rtol=0, atol=1e-9)
     ranked = dict(S.assign_topk(caches, 3, Task.CTR).entries[5])
     np.testing.assert_allclose([ranked[tag] for tag in (0, 1, 2)], want, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("users, tags, repeated", [
+    ([0, 1, 1, 0], [0, 3], "user id 0"),
+    ([0, 1], [0, 3, 3], "tag id 3"),
+], ids=["users", "tags"])
+def test_build_caches_refuses_repeated_ids(served, users, tags, repeated):
+    """A repeated id would answer from its last row and fail to load once saved."""
+    model, roster, _, _ = served
+    with dg.precision("f32"), pytest.raises(DataError, match=repeated):
+        S.build_caches(model, [(u, roster[u][1]) for u in users], tags)
 
 
 def test_missing_ids_raise_lookup_error(served):
@@ -471,6 +537,19 @@ def test_tag_cache_tau_must_be_a_finite_number(saved, tau):
 def test_cache_ids_must_be_distinct_integers(saved, name, bad_ids):
     doc = json.loads((saved / name).read_text())
     _rewrite_index(saved / name, ids=bad_ids(doc["ids"]))
+    with pytest.raises(DataError, match=re.escape(name)):
+        S.load_caches(saved)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("name", ["user_cache.bin", "tag_cache_cvr.bin"])
+def test_cache_with_a_non_finite_value_is_data_error(saved, name, value):
+    path = saved / name
+    dtype = dg.codec_dtype(json.loads(path.with_suffix(".json").read_text())["dtype"])
+    raw = bytearray(path.read_bytes())
+    payload = np.frombuffer(raw, dtype=dtype, offset=24)
+    payload[len(payload) // 2] = value
+    path.write_bytes(raw)
     with pytest.raises(DataError, match=re.escape(name)):
         S.load_caches(saved)
 
