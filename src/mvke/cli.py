@@ -252,8 +252,7 @@ def cmd_eval(args, resolved: dict, out: Path) -> int:
     model = load_model(args.ckpt)
     report = eval_mod.evaluate(model, test_ds, model_id=resolved["mode"],
                                seed=resolved["seed"])
-    eval_mod.write_csv(report.rows(), out / "report.csv",
-                       fieldnames=["model", "seed", "task", "auc", "n", "n_pos"])
+    eval_mod.write_csv(report.rows(), out / "report.csv")
     log.info("report: %s", report.aucs)
     return 0
 
@@ -266,16 +265,13 @@ def cmd_sweep(args, resolved: dict, out: Path) -> int:
                                           model_config(resolved),
                                           train_config(resolved),
                                           seed=resolved["seed"] + 1)
-    eval_mod.write_csv(rows, out / "sweep.csv",
-                       fieldnames=["n_experts", "ctr_auc", "cvr_auc"])
+    eval_mod.write_csv(rows, out / "sweep.csv")
     return 0
 
 
 def cmd_export_attention(args, resolved: dict, out: Path) -> int:
     model = _load_mixture(args)
-    rows = eval_mod.export_gate_weights(model)
-    names = ["task", "tag_id"] + [f"expert_{e}" for e in range(model.cfg.routing.n_experts)]
-    eval_mod.write_csv(rows, out / "weights.csv", fieldnames=names)
+    eval_mod.write_csv(eval_mod.export_gate_weights(model), out / "weights.csv")
     return 0
 
 
@@ -292,8 +288,7 @@ def cmd_predict(args, resolved: dict, out: Path) -> int:
     rows = []
     for task in model.tasks:
         rows.extend(serve_mod.assign_topk(caches, top_n, task).rows())
-    eval_mod.write_csv(rows, out / "assignments.csv",
-                       fieldnames=["user_id", "rank", "tag_id", "task", "score"])
+    eval_mod.write_csv(rows, out / "assignments.csv")
     log.info("cached %d users, %d tags; wrote assignments", len(users), len(tags))
     return 0
 
@@ -306,11 +301,7 @@ def cmd_bench(args, resolved: dict, out: Path) -> int:
     users = data_mod.user_roster(test_ds)
     tags = list(range(model.cfg.schema.tag_vocab_size))
     rows = serve_mod.bench(model, users, tags, sizes)
-    eval_mod.write_csv(rows, out / "bench.csv",
-                       fieldnames=["n_users", "n_tags", "n_tasks",
-                                   "naive_user_tower", "naive_tag_tower",
-                                   "cached_user_tower", "cached_tag_tower",
-                                   "naive_seconds", "cached_seconds", "speedup"])
+    eval_mod.write_csv(rows, out / "bench.csv")
     return 0
 
 

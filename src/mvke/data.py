@@ -143,11 +143,11 @@ class GroundTruth:
         doc = {
             "click_offset": self.click_offset,
             "conv_offset": self.conv_offset,
-            "user_fields": [list(_jsonable_fields(f)) for f in self.user_fields],
-            "ad_tags": [list(t) for t in self.ad_tags],
+            "user_fields": self.user_fields,
+            "ad_tags": self.ad_tags,
             "tag_facets": [int(f) for f in self.tag_facets],
-            "train_span": list(self.train_span),
-            "test_span": list(self.test_span),
+            "train_span": self.train_span,
+            "test_span": self.test_span,
             "user_click": dg.encode_array(self.user_click),
             "user_conv": dg.encode_array(self.user_conv),
             "tag_vectors": dg.encode_array(self.tag_vectors),
@@ -170,10 +170,6 @@ class GroundTruth:
             train_span=tuple(doc["train_span"]),
             test_span=tuple(doc["test_span"]),
         )
-
-
-def _jsonable_fields(field_values: tuple) -> list:
-    return [list(v) if isinstance(v, tuple) else v for v in field_values]
 
 
 def _tuple_fields(field_values: list) -> tuple:
@@ -318,8 +314,8 @@ def write_dataset(dataset: Iterable[Example], path) -> None:
         for ex in dataset:
             record = {
                 "user_id": ex.user_id,
-                "fields": _jsonable_fields(ex.field_values),
-                "tags": list(ex.tag_set),
+                "fields": ex.field_values,
+                "tags": ex.tag_set,
                 "click": ex.click_label,
                 "conv": ex.conversion_label,
             }

@@ -402,10 +402,7 @@ def gather_rows(table: Tensor, indices) -> Tensor:
         g = g.reshape(len(flat), *table.data.shape[1:])
         dt = np.zeros_like(table.data)
         order, ids, starts = _sorted_runs(flat, rows)
-        if len(ids) == len(flat):
-            dt[flat] = g
-        else:
-            dt[ids] = _run_sums(np.take(g, order, axis=0), starts)
+        dt[ids] = _run_sums(np.take(g, order, axis=0), starts)
         return (dt,)
 
     return _node(out, (table,), grad_fn)
@@ -676,30 +673,49 @@ def codec_dtype(name) -> np.dtype:
     return np.dtype(_DTYPES[name]).newbyteorder("<")
 
 
-def encode_array(arr: np.ndarray) -> dict:
-    """``{"shape", "dtype", "data"}`` record; ``data`` is base64 of the bytes."""
+def to_payload(arr: np.ndarray) -> tuple[dict, np.ndarray]:
+    """(``{"shape", "dtype"}`` record, little-endian C-contiguous payload) of
+    ``arr``; the payload shares ``arr``'s memory when ``arr`` already is one."""
     name = dtype_name(arr)
-    data = base64.b64encode(arr.astype(codec_dtype(name)).tobytes()).decode("ascii")
-    return {"shape": list(arr.shape), "dtype": name, "data": data}
+    return ({"shape": list(arr.shape), "dtype": name},
+            np.ascontiguousarray(arr, dtype=codec_dtype(name)))
+
+
+def from_payload(record: dict, payload) -> np.ndarray:
+    """Little-endian view of the bytes-like ``payload`` with the record's shape.
+
+    Raises DataError for a missing key, an unknown dtype or a payload whose
+    length does not fill the shape.
+    """
+    try:
+        code = codec_dtype(record["dtype"])
+        shape = tuple(record["shape"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise DataError(f"malformed array record: {e!r}") from e
+    if (not all(type(n) is int and n >= 0 for n in shape)
+            or len(payload) != math.prod(shape) * code.itemsize):
+        raise DataError(f"{len(payload)} payload bytes do not fill shape {list(shape)} "
+                        f"of {record['dtype']}")
+    return np.frombuffer(payload, dtype=code).reshape(shape)
+
+
+def encode_array(arr: np.ndarray) -> dict:
+    """``{"shape", "dtype", "data"}`` record; ``data`` is base64 of the payload."""
+    record, payload = to_payload(arr)
+    return {**record, "data": base64.b64encode(payload.tobytes()).decode("ascii")}
 
 
 def decode_array(record: dict) -> np.ndarray:
     """Writable native-order array from an ``encode_array`` record.
 
-    Raises DataError for a missing key, an unknown dtype, invalid base64 or
-    a payload whose length does not fill the shape.
+    Raises DataError for invalid base64, then as ``from_payload``.
     """
     try:
-        code = codec_dtype(record["dtype"])
-        shape = tuple(record["shape"])
         raw = base64.b64decode(record["data"], validate=True)
     except (KeyError, TypeError, ValueError) as e:
         raise DataError(f"malformed array record: {e!r}") from e
-    if (not all(type(n) is int and n >= 0 for n in shape)
-            or len(raw) != math.prod(shape) * code.itemsize):
-        raise DataError(f"{len(raw)} payload bytes do not fill shape {list(shape)} "
-                        f"of {record['dtype']}")
-    return np.frombuffer(raw, dtype=code).reshape(shape).astype(code.newbyteorder("="))
+    values = from_payload(record, raw)
+    return values.astype(values.dtype.newbyteorder("="))
 
 
 # ---------------------------------------------------------------------------

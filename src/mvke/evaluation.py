@@ -137,12 +137,12 @@ def export_gate_weights(model: MvkeModel, tag_ids: Sequence[int] | None = None) 
     return rows
 
 
-def write_csv(rows: Sequence[dict], path, fieldnames: Sequence[str] | None = None) -> None:
-    """Write dicts as CSV; None becomes an empty cell."""
+def write_csv(rows: Sequence[dict], path) -> None:
+    """Write dicts as CSV under the first row's keys; None becomes an empty cell."""
     if not rows:
         Path(path).write_text("", encoding="utf-8")
         return
-    names = list(fieldnames) if fieldnames else list(rows[0].keys())
+    names = list(rows[0])
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=names, lineterminator="\n")
         writer.writeheader()

@@ -330,8 +330,11 @@ def encode_user_fields(field_rows: Sequence[Sequence], schema: FieldSchema) -> E
     if (widths != m).any():
         row = int(np.flatnonzero(widths != m)[0])
         raise DataError(f"row {row} has {widths[row]} user fields, the schema has {m}")
-    packed = [_encode_column(column, vocab, f"field {name!r}: id", f"field {name!r} has no values")
-              for (name, vocab), column in zip(schema.user_fields, zip(*field_rows))]
+    # a list per column, not zip(*field_rows): that makes one iterator per
+    # row, each an object the garbage collector counts
+    packed = [_encode_column([row[j] for row in field_rows], vocab, f"field {name!r}: id",
+                             f"field {name!r} has no values")
+              for j, (name, vocab) in enumerate(schema.user_fields)]
     idx, weight = (list(arrays) for arrays in zip(*packed))
     return EncodedBatch(n, idx, weight, np.zeros((n, 0), dtype=np.int64), np.zeros((n, 0)),
                         np.zeros(n), np.zeros(n))

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import struct
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -26,50 +25,39 @@ from .errors import ConfigError, DataError
 from .model import MvkeModel, Task, TASKS, encode_examples, encode_user_fields
 from .data import Example
 
-_HEADER = struct.Struct("<qqq")  # (vectors per row, vector dim, row count)
-
-
-def _write_cache(bin_path, index_path, header: tuple[int, int, int],
-                 payload: np.ndarray, index: dict) -> None:
-    """Header plus little-endian payload, and a JSON index that names the dtype."""
-    dtype = dg.dtype_name(payload)
+def _write_cache(bin_path, index_path, values: np.ndarray, index: dict) -> None:
+    """The little-endian payload of ``values`` alone, and a JSON index that adds
+    its ``{"shape", "dtype"}`` record to ``index``."""
+    record, payload = dg.to_payload(values)
     with open(bin_path, "wb") as fh:
-        fh.write(_HEADER.pack(*header))
-        fh.write(np.ascontiguousarray(payload, dtype=dg.codec_dtype(dtype)).tobytes())
-    Path(index_path).write_text(json.dumps({**index, "dtype": dtype}, separators=(",", ":"))
+        payload.tofile(fh)
+    Path(index_path).write_text(json.dumps({**index, **record}, separators=(",", ":"))
                                 + "\n", encoding="utf-8")
 
 
-def _read_cache(bin_path, index_path, row_width) -> tuple[dict, int, int, np.ndarray]:
-    """(index, a, b, rows [n, row_width(a, b)]) of a cache with header (a, b, n).
+def _read_cache(bin_path, index_path, rank: int) -> tuple[dict, np.ndarray]:
+    """(index, payload) of a cache whose payload has ``rank`` axes, one row per id.
 
-    Raises DataError naming the file unless the index's dtype is known, its
-    ids are distinct JSON integers (not bools), the header lists as many rows
-    as the index has ids, the payload fills them exactly and every value is
-    finite. The rows are a writable view of the bytes read, not a copy.
+    Raises DataError naming the file unless the index's ids are distinct
+    JSON integers (not bools), its shape and dtype are a codec record the
+    payload fills exactly, and every value is finite. The payload is a
+    writable view of the bytes read, not a copy.
     """
     try:
         index = json.loads(Path(index_path).read_text(encoding="utf-8"))
-        code, ids = dg.codec_dtype(index["dtype"]), index["ids"]
+        ids = index["ids"]
         if (not isinstance(ids, list) or not set(map(type, ids)) <= {int}
                 or len(set(ids)) != len(ids)):
             raise ValueError("its ids are not distinct integers")
-        raw = np.fromfile(bin_path, dtype=np.uint8)
+        values = dg.from_payload(index, np.fromfile(bin_path, dtype=np.uint8))
     except (DataError, OSError, KeyError, TypeError, ValueError) as e:
         raise DataError(f"cannot load cache {bin_path} with index {index_path}: {e}") from e
-    if raw.size < _HEADER.size:
-        raise DataError(f"cache {bin_path} is shorter than its {_HEADER.size}-byte header")
-    a, b, n = _HEADER.unpack_from(raw)
-    if n != len(ids):
-        raise DataError(f"cache {bin_path} holds {n} rows, its index lists {len(ids)} ids")
-    width = row_width(a, b)
-    if min(a, b) < 0 or raw.size - _HEADER.size != n * width * code.itemsize:
-        raise DataError(f"cache {bin_path}: {raw.size - _HEADER.size} payload bytes "
-                        f"do not fill header ({a}, {b}, {n})")
-    rows = raw[_HEADER.size:].view(code).reshape(n, width)
-    if not np.isfinite(rows).all():
+    if values.ndim != rank or len(values) != len(ids):
+        raise DataError(f"cache {bin_path} has shape {list(values.shape)}, expected "
+                        f"{rank} axes and a row for each of its {len(ids)} ids")
+    if not np.isfinite(values).all():
         raise DataError(f"cache {bin_path} holds non-finite values")
-    return index, a, b, rows
+    return index, values
 
 
 def _id_index(ids: list[int], what: str) -> dict[int, int]:
@@ -102,13 +90,12 @@ class UserCache:
         return int(self.vectors.size)
 
     def save(self, bin_path, index_path) -> None:
-        n, k, d = self.vectors.shape
-        _write_cache(bin_path, index_path, (k, d, n), self.vectors, {"ids": self.user_ids})
+        _write_cache(bin_path, index_path, self.vectors, {"ids": self.user_ids})
 
     @classmethod
     def load(cls, bin_path, index_path) -> "UserCache":
-        index, k, d, rows = _read_cache(bin_path, index_path, lambda k, d: k * d)
-        return cls(user_ids=index["ids"], vectors=rows.reshape(-1, k, d))
+        index, vectors = _read_cache(bin_path, index_path, 3)
+        return cls(user_ids=index["ids"], vectors=vectors)
 
 
 @dataclass
@@ -142,18 +129,18 @@ class TaskTagCache:
         return i
 
     def save(self, bin_path, index_path) -> None:
-        n, d = self.embeddings.shape
         payload = np.concatenate(
             [self.embeddings, self.gate_weights.astype(self.embeddings.dtype)], axis=1)
-        _write_cache(bin_path, index_path, (len(self.expert_ids), d, n), payload,
+        _write_cache(bin_path, index_path, payload,
                      {"task": self.task.value, "ids": self.tag_ids,
                       "experts": list(self.expert_ids), "tau": self.tau})
 
     @classmethod
-    def load(cls, bin_path, index_path, n_experts: int) -> "TaskTagCache":
+    def load(cls, bin_path, index_path, n_experts: int, embed_dim: int) -> "TaskTagCache":
         """DataError naming the file unless the index lists distinct expert ids in
-        ``[0, n_experts)``, one per gate column, and a finite ``tau``."""
-        doc, n_w, d, rows = _read_cache(bin_path, index_path, lambda n_w, d: d + n_w)
+        ``[0, n_experts)`` and a finite ``tau``, and each row holds an
+        ``embed_dim``-wide embedding, then one gate weight per listed expert."""
+        doc, rows = _read_cache(bin_path, index_path, 2)
         try:
             task, experts, tau = Task(doc["task"]), tuple(doc["experts"]), doc["tau"]
             if (not all(type(e) is int and 0 <= e < n_experts for e in experts)
@@ -164,9 +151,10 @@ class TaskTagCache:
                 raise ValueError(f"tau {tau!r} is not a finite number")
         except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise DataError(f"cache index {index_path}: {e}") from e
-        if n_w != len(experts):
-            raise DataError(f"cache {bin_path} holds {n_w} gate weights per tag, "
-                            f"its index lists {len(experts)} experts")
+        d = rows.shape[1] - len(experts)
+        if d != embed_dim:
+            raise DataError(f"cache {bin_path} holds {d}-wide tag embeddings, "
+                            f"the user cache {embed_dim}-wide expert outputs")
         return cls(task=task, tag_ids=doc["ids"], embeddings=rows[:, :d].copy(),
                    gate_weights=rows[:, d:].copy(), expert_ids=experts, tau=float(tau))
 
@@ -398,12 +386,9 @@ def save_caches(caches: tuple[UserCache, TagCache], out_dir) -> None:
 
 def load_caches(cache_dir) -> tuple[UserCache, TagCache]:
     cache = Path(cache_dir)
-    user_bin = cache / "user_cache.bin"
-    if not user_bin.exists():
-        raise DataError(f"no user cache under {cache}")
-    user_cache = UserCache.load(user_bin, cache / "user_cache.json")
+    user_cache = UserCache.load(cache / "user_cache.bin", cache / "user_cache.json")
     per_task = {task: TaskTagCache.load(cache / f"tag_cache_{task.value}.bin",
                                         cache / f"tag_cache_{task.value}.json",
-                                        user_cache.vectors.shape[1])
+                                        *user_cache.vectors.shape[1:])
                 for task in TASKS}
     return user_cache, TagCache(per_task)

@@ -658,8 +658,25 @@ def test_array_codec_round_trip(name, dtype):
     np.testing.assert_array_equal(again, arr)
 
 
+@pytest.mark.parametrize("name, dtype", [("f32", np.float32), ("f64", np.float64)])
+def test_payload_codec_round_trip_copies_nothing(name, dtype):
+    arr = np.arange(6, dtype=dtype).reshape(2, 3) / 7
+    record, payload = dg.to_payload(arr)
+    assert record == {"shape": [2, 3], "dtype": name} and np.shares_memory(payload, arr)
+    raw = bytearray(payload.tobytes())
+    again = dg.from_payload(record, raw)
+    assert again.dtype == dg.codec_dtype(name) and np.shares_memory(again, np.frombuffer(raw))
+    np.testing.assert_array_equal(again, arr)
+
+
+def test_payload_of_a_strided_array_is_its_c_order_bytes():
+    arr = np.arange(6, dtype=np.float32).reshape(2, 3).T
+    record, payload = dg.to_payload(arr)
+    assert record["shape"] == [3, 2] and payload.tobytes() == arr.tobytes()
+
+
 @pytest.mark.parametrize("bad", [{"dtype": "f16"}, {"shape": [4]}, {"shape": [-1]},
-                                 {"data": "AAC!PwAAAEA="}, {"dtype": None}])
+                                 {"data": "AAC!PwAAAEA="}, {"dtype": None}, {"shape": 2}])
 def test_array_codec_rejects_bad_records(bad):
     record = {"shape": [2], "dtype": "f32", "data": "AACAPwAAAEA=", **bad}
     with pytest.raises(DataError):

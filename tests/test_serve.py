@@ -1,7 +1,6 @@
 import json
 import math
 import re
-import struct
 
 import numpy as np
 import pytest
@@ -425,14 +424,15 @@ def test_cache_files_round_trip(tmp_path, served):
             == S.score_from_cache(u, 2, Task.CTR, again))
 
 
-def test_user_cache_file_size_is_header_plus_values(tmp_path, served):
+def test_user_cache_file_holds_the_values_alone(tmp_path, served):
     model, users, _, caches = served
     S.save_caches(caches, tmp_path / "caches")
-    size = (tmp_path / "caches" / "user_cache.bin").stat().st_size
+    raw = (tmp_path / "caches" / "user_cache.bin").read_bytes()
+    index = json.loads((tmp_path / "caches" / "user_cache.json").read_text())
     k = model.cfg.routing.n_experts
     d = model.cfg.schema.embed_dim
-    itemsize = caches[0].vectors.dtype.itemsize
-    assert size == 24 + k * len(users) * d * itemsize
+    assert index["shape"] == [len(users), k, d] and index["dtype"] == "f32"
+    assert raw == caches[0].vectors.astype("<f4").tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -498,19 +498,37 @@ def test_cache_index_with_fewer_ids_than_rows_is_data_error(saved):
 
 
 def test_cache_payload_not_filling_header_is_data_error(saved):
+    """The index's shape record is the header the payload must fill."""
     path = saved / "tag_cache_ctr.bin"
     path.write_bytes(path.read_bytes()[:-4])
     with pytest.raises(DataError, match="tag_cache_ctr.bin"):
         S.load_caches(saved)
 
 
-def test_tag_cache_expert_count_must_match_index(saved):
+def _user_cache_of_a_4_wide_model(saved):
+    with dg.precision("f32"):
+        schema = M.FieldSchema(user_fields=(("color", 5), ("size", 4)),
+                               tag_vocab_size=6, embed_dim=4)
+        model = M.MvkeModel(M.ModelConfig(schema, M.five_expert_routing()), seed=0)
+        users = [(u, (u % 5, u % 4)) for u in range(3)]
+        S.build_caches(model, users, range(6))[0].save(saved / "user_cache.bin",
+                                                        saved / "user_cache.json")
+
+
+def _index_listing_one_expert_fewer(saved):
     # one gate weight fewer and one embedding value more per row: the payload still fits
-    path = saved / "tag_cache_cvr.bin"
-    raw = path.read_bytes()
-    n_w, d, n = struct.unpack_from("<qqq", raw)
-    path.write_bytes(struct.pack("<qqq", n_w - 1, d + 1, n) + raw[24:])
-    with pytest.raises(DataError, match="tag_cache_cvr.bin"):
+    doc = json.loads((saved / "tag_cache_cvr.json").read_text())
+    _rewrite_index(saved / "tag_cache_cvr.json", experts=doc["experts"][:-1])
+
+
+@pytest.mark.parametrize("name, tamper", [
+    ("tag_cache_ctr.bin", _user_cache_of_a_4_wide_model),
+    ("tag_cache_cvr.bin", _index_listing_one_expert_fewer),
+], ids=["other-model", "expert-count"])
+def test_tag_cache_embedding_width_must_match_the_user_cache(saved, name, tamper):
+    """8-wide tag embeddings beside 4-wide expert outputs would fail each lookup."""
+    tamper(saved)
+    with pytest.raises(DataError, match=re.escape(name)):
         S.load_caches(saved)
 
 
@@ -547,15 +565,42 @@ def test_cache_with_a_non_finite_value_is_data_error(saved, name, value):
     path = saved / name
     dtype = dg.codec_dtype(json.loads(path.with_suffix(".json").read_text())["dtype"])
     raw = bytearray(path.read_bytes())
-    payload = np.frombuffer(raw, dtype=dtype, offset=24)
+    payload = np.frombuffer(raw, dtype=dtype)
     payload[len(payload) // 2] = value
     path.write_bytes(raw)
     with pytest.raises(DataError, match=re.escape(name)):
         S.load_caches(saved)
 
 
-def test_cache_shorter_than_header_is_data_error(saved):
+def test_cache_payload_cut_mid_value_is_data_error(saved):
     path = saved / "user_cache.bin"
     path.write_bytes(path.read_bytes()[:10])
     with pytest.raises(DataError, match="user_cache.bin"):
+        S.load_caches(saved)
+
+
+def test_missing_cache_file_is_data_error_naming_it(saved):
+    (saved / "user_cache.bin").unlink()
+    with pytest.raises(DataError, match="user_cache.bin"):
+        S.load_caches(saved)
+
+
+def test_cache_index_without_a_shape_is_data_error(saved):
+    """The layout before the shape record moved into the index is refused."""
+    doc = json.loads((saved / "user_cache.json").read_text())
+    del doc["shape"]
+    (saved / "user_cache.json").write_text(json.dumps(doc))
+    with pytest.raises(DataError, match="user_cache.bin.*shape"):
+        S.load_caches(saved)
+
+
+@pytest.mark.parametrize("name, shape", [
+    ("user_cache.json", lambda n, k, d: [n, k * d]),
+    ("user_cache.json", lambda n, k, d: [n * k, d, 1]),
+    ("tag_cache_ctr.json", lambda n, w: [n, w, 1]),
+], ids=["user-rank-2", "user-row-per-expert", "tag-rank-3"])
+def test_cache_shape_must_have_its_rank_and_a_row_per_id(saved, name, shape):
+    doc = json.loads((saved / name).read_text())
+    _rewrite_index(saved / name, shape=shape(*doc["shape"]))
+    with pytest.raises(DataError, match=re.escape(name.replace(".json", ".bin"))):
         S.load_caches(saved)
