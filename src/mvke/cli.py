@@ -96,9 +96,9 @@ def resolve_config(config_path: str | None, args: argparse.Namespace) -> dict:
         try:
             file_cfg = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as e:
-            raise ConfigError(f"config file is not valid JSON: {e}") from e
+            raise ConfigError(f"config file {path} is not valid JSON: {e}") from e
         if not isinstance(file_cfg, dict):
-            raise ConfigError("config file must hold a JSON object")
+            raise ConfigError(f"config file {path} must hold a JSON object")
         resolved = _deep_merge(resolved, file_cfg)
     for where, given, schema in [("config", resolved, DEFAULT_CONFIG)] + [
             (f"{section} section", _object(resolved, section), fields)

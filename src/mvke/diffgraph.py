@@ -382,13 +382,13 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 def gather_rows(table: Tensor, indices) -> Tensor:
     """Lookup ``table[indices]`` along axis 0 with scatter-add gradients.
 
-    ``table`` has at least two axes and ``indices`` any shape; the result
+    ``table`` has at least one axis and ``indices`` any shape; the result
     has shape ``indices.shape + table.shape[1:]``. Repeated indices add
     their gradients.
     """
     table = as_tensor(table)
-    if table.ndim < 2:
-        raise ConfigError(f"gather_rows expects a table of rank >= 2, got {table.shape}")
+    if table.ndim < 1:
+        raise ConfigError(f"gather_rows expects a table of rank >= 1, got {table.shape}")
     idx = np.asarray(indices)
     if not np.issubdtype(idx.dtype, np.integer):
         raise DataError("gather_rows indices must be integers")
@@ -531,8 +531,10 @@ def attention_weights(q: Tensor, k: Tensor, mask: Tensor | None = None) -> Tenso
 
 
 def bce_loss(p: Tensor, y) -> Tensor:
-    """Mean binary cross-entropy of ``p`` against 0/1 labels, one node.
+    """Binary cross-entropy of ``p`` against 0/1 labels of its shape, one node.
 
+    The mean along the last axis, summed over any leading axis: a ``[n_tasks, B]`` input
+    gives the sum of the tasks' mean losses, bit for bit the sum of one call per row.
     ``p`` is clipped to ``[BCE_EPS, 1 - BCE_EPS]``; clipped entries get a zero gradient.
     """
     p = as_tensor(p)
@@ -542,11 +544,11 @@ def bce_loss(p: Tensor, y) -> Tensor:
     if not np.all((yd == 0.0) | (yd == 1.0)):
         raise DataError("bce_loss labels must be 0 or 1")
     pc = np.clip(p.data, BCE_EPS, 1.0 - BCE_EPS)
-    out = -np.mean(yd * np.log(pc) + (1.0 - yd) * np.log(1.0 - pc))
+    out = -np.mean(yd * np.log(pc) + (1.0 - yd) * np.log(1.0 - pc), axis=-1).sum()
 
     def grad_fn(g):
         inside = (p.data > BCE_EPS) & (p.data < 1.0 - BCE_EPS)
-        return (g * inside * (pc - yd) / (pc * (1.0 - pc) * p.size),)
+        return (g * inside * (pc - yd) / (pc * (1.0 - pc) * p.shape[-1]),)
 
     return _node(np.asarray(out), (p,), grad_fn)
 

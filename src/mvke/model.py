@@ -460,8 +460,8 @@ def embed_user_fields(batch: EncodedBatch, params: dict[str, Tensor],
     field one id wide in this batch gives one row per distinct id, found for
     all such fields by one 1-D ``np.unique``; a wider field gives one
     mean-pooled row per example. Each row is the weighted sum of a bag of at
-    most ``W`` table rows (the widest field), so all rows come from one gather
-    and one matmul with the constant [U, 1, W] bag weights.
+    most ``W`` table rows (the widest field), so all rows come from one
+    ``gather_mix`` of the table with the constant [1, U, W] bag weights.
     """
     table = params["user_embed"]
     size = batch.size
@@ -475,14 +475,14 @@ def embed_user_fields(batch: EncodedBatch, params: dict[str, Tensor],
 
     n = len(distinct)
     bag_ids = np.zeros((n + size * len(pooled), max(widths)), dtype=np.int64)
-    bag_weights = np.zeros(bag_ids.shape, dtype=table.data.dtype)
-    bag_ids[:n, 0], bag_weights[:n, 0] = distinct, 1.0
+    bag_weights = np.zeros((1, *bag_ids.shape), dtype=table.data.dtype)
+    bag_ids[:n, 0], bag_weights[0, :n, 0] = distinct, 1.0
     for r, j in enumerate(pooled):
         own = np.arange(n + r * size, n + (r + 1) * size)  # this field's row of each example
         bag_ids[own, :widths[j]] = batch.field_idx[j] + schema.field_offsets[j]
-        bag_weights[own, :widths[j]] = batch.field_weight[j]
+        bag_weights[0, own, :widths[j]] = batch.field_weight[j]
         inverse[:, j] = own
-    rows = dg.matmul(dg.raw_tensor(bag_weights[:, None, :]), dg.gather_rows(table, bag_ids))
+    rows = dg.gather_mix(dg.raw_tensor(bag_weights), dg.reshape(table, (1, *table.shape)), bag_ids)
     return dg.reshape(rows, (len(bag_ids), schema.embed_dim)), inverse
 
 
@@ -490,11 +490,8 @@ def tag_tower(tag_idx: np.ndarray, tag_weight: np.ndarray,
               params: dict[str, Tensor]) -> Tensor:
     """Tag embeddings [n_tasks, B, d]: per task, the mean of its tag rows, then affine + tanh."""
     embed = params["tag_tower.embed"]
-    n, rows, d = embed.shape
-    ids = tag_idx + rows * np.arange(n).reshape(n, 1, 1)  # [n, B, c] in the flattened table
-    pool = dg.raw_tensor(tag_weight[:, None, :].astype(embed.data.dtype))  # [B, 1, c]
-    pooled = dg.matmul(pool, dg.gather_rows(dg.reshape(embed, (n * rows, d)), ids))
-    pooled = dg.reshape(pooled, (n, len(tag_idx), d))
+    pool = np.broadcast_to(tag_weight.astype(embed.data.dtype), (len(embed.data), *tag_idx.shape))
+    pooled = dg.gather_mix(dg.raw_tensor(pool), embed, tag_idx)
     return dg.tanh(_affine(pooled, params, "tag_tower.proj"))
 
 
@@ -514,9 +511,9 @@ def vke_attention(rows: Tensor, inverse: np.ndarray,
     keys = dg.tanh(_affine(rows, params, "experts.k_proj"))  # [k, U, d]
     values = dg.tanh(_affine(rows, params, "experts.v_proj"))
     scale = dg.raw_tensor(np.asarray(1.0 / math.sqrt(d), dtype=keys.data.dtype))
-    scores = dg.reshape(dg.mul(dg.matmul(keys, q), scale), (k * u, 1))
+    scores = dg.reshape(dg.mul(dg.matmul(keys, q), scale), (k * u,))
     ids = inverse + u * np.arange(k).reshape(k, 1, 1)  # [k, B, m] in the flattened scores
-    weights = dg.softmax(dg.reshape(dg.gather_rows(scores, ids), ids.shape), axis=-1)
+    weights = dg.softmax(dg.gather_rows(scores, ids), axis=-1)
     return dg.gather_mix(weights, values, inverse), weights
 
 
@@ -560,9 +557,11 @@ def score_pair(user_embedding: Tensor, tag_embedding: Tensor,
     return dg.sigmoid(dg.mul(cos, dg.reshape(tau, (tau.shape[0], 1))))
 
 
-def _mixture(batch: EncodedBatch, schema: FieldSchema, params: dict[str, Tensor],
-             mask: Tensor | None = None) -> tuple[Tensor, Tensor]:
-    """(probabilities [n_tasks, B], gate weights [n_tasks, B, k]) of every expert and task."""
+def mixture(batch: EncodedBatch, schema: FieldSchema, params: dict[str, Tensor],
+            routing: ExpertRouting | None = None) -> tuple[Tensor, Tensor]:
+    """(probabilities [n_tasks, B], gate weights [n_tasks, B, k]) of every expert and task;
+    ``routing`` masks each task's gate to its experts (``ExpertRouting.gate_mask``)."""
+    mask = routing and dg.raw_tensor(routing.gate_mask(params["virtual_kernels"].data.dtype))
     experts = vke_forward(*embed_user_fields(batch, params, schema), params)
     tags = tag_tower(batch.tag_idx, batch.tag_weight, params)
     users, gates = vkg_combine(experts, tags, params, mask)
@@ -576,8 +575,7 @@ def mvke_forward(batch: EncodedBatch, cfg: ModelConfig,
     Returns ``{task: (probabilities [B], gate_weights [B, k])}``; a task's
     gate weights are exactly 0 on the experts outside its routing set.
     """
-    mask = dg.raw_tensor(cfg.routing.gate_mask(params["virtual_kernels"].data.dtype))
-    probs, gates = _mixture(batch, cfg.schema, params, mask)
+    probs, gates = mixture(batch, cfg.schema, params, cfg.routing)
     return {task: (dg.gather_rows(probs, i), dg.gather_rows(gates, i))
             for i, task in enumerate(TASKS)}
 
@@ -644,7 +642,7 @@ class MvkeModel:
         """``task``'s probabilities [B]; only the task's experts run."""
         self.counters["user_tower"] += batch.size
         self.counters["tag_tower"] += batch.size
-        probs, _ = _mixture(batch, self.cfg.schema, _task_view(self.params, self.cfg.routing, task))
+        probs, _ = mixture(batch, self.cfg.schema, _task_view(self.params, self.cfg.routing, task))
         return dg.require_finite(probs.data[0], f"{task.value} predictions")
 
     def user_expert_outputs(self, batch: EncodedBatch) -> np.ndarray:

@@ -139,7 +139,8 @@ class TaskTagCache:
     def load(cls, bin_path, index_path, n_experts: int, embed_dim: int) -> "TaskTagCache":
         """DataError naming the file unless the index lists distinct expert ids in
         ``[0, n_experts)`` and a finite ``tau``, and each row holds an
-        ``embed_dim``-wide embedding, then one gate weight per listed expert."""
+        ``embed_dim``-wide embedding in [-1, 1] (the tag tower ends in tanh), then
+        one gate weight in [0, 1] (a softmax) per listed expert."""
         doc, rows = _read_cache(bin_path, index_path, 2)
         try:
             task, experts, tau = Task(doc["task"]), tuple(doc["experts"]), doc["tau"]
@@ -155,6 +156,11 @@ class TaskTagCache:
         if d != embed_dim:
             raise DataError(f"cache {bin_path} holds {d}-wide tag embeddings, "
                             f"the user cache {embed_dim}-wide expert outputs")
+        for what, values, low in (("tag embedding", rows[:, :d], -1.0),
+                                  ("gate weight", rows[:, d:], 0.0)):
+            if not ((values >= low) & (values <= 1.0)).all():
+                raise DataError(f"cache {bin_path} holds a {what} outside [{low:g}, 1], "
+                                "which the model cannot have written")
         return cls(task=task, tag_ids=doc["ids"], embeddings=rows[:, :d].copy(),
                    gate_weights=rows[:, d:].copy(), expert_ids=experts, tau=float(tau))
 

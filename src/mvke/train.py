@@ -11,8 +11,8 @@ from . import diffgraph as dg
 from .diffgraph import Tensor
 from .errors import ConfigError, NumericsError, TrainingDivergenceError, prefix_data_errors
 from .evaluation import auc, predict_dataset
-from .model import (EncodedBatch, ModelConfig, Task, TASKS, encode_examples,
-                    mvke_forward, two_tower_forward)
+from .model import (EncodedBatch, ModelConfig, Task, TASKS, encode_examples, mixture,
+                    two_tower_forward)
 
 MODES = ("ctr-only", "cvr-only", "multi")
 
@@ -53,19 +53,17 @@ def mode_tasks(mode: str) -> tuple[Task, ...]:
 
 def mtl_loss(batch: EncodedBatch, cfg: ModelConfig, params: dict[str, Tensor],
              mode: str = "multi") -> Tensor:
-    """Joint loss: unweighted sum of the per-task BCE losses.
+    """Joint loss: unweighted sum of the per-task BCE losses, one ``bce_loss`` node.
 
     Both tasks consume every impression in the batch with their own label;
     single-task modes return that task's BCE alone.
     """
     if mode == "multi":
         cfg.routing.check_multi_task()
-    out = mvke_forward(batch, cfg, params)
-    total = None
-    for task in mode_tasks(mode):
-        term = dg.bce_loss(out[task][0], batch.label(task))
-        total = term if total is None else dg.add(total, term)
-    return total
+    tasks = mode_tasks(mode)
+    probs, _ = mixture(batch, cfg.schema, params, cfg.routing)
+    return dg.bce_loss(dg.gather_rows(probs, [TASKS.index(task) for task in tasks]),
+                       np.stack([batch.label(task) for task in tasks]))
 
 
 class Adam:

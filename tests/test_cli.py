@@ -204,6 +204,10 @@ def _per_task_tables(ckpt):
     (ckpt / "params.jsonl").write_text("\n".join(lines) + "\n")
 
 
+def _drop_model_json(ckpt):
+    (ckpt / "model.json").unlink()
+
+
 def _config_value(key, value):
     """A ``break_it`` that sets ``model.json``'s ``config[key]`` to ``value``."""
     def break_it(ckpt):
@@ -224,6 +228,7 @@ def _config_value(key, value):
     (_config_value("embed_dim", 8.9), "model.json: field 'embed_dim'"),
     (_config_value("bogus", 1), "model.json: unknown fields ['bogus']"),
     (_config_value("head_hidden", -3), "model.json: field 'head_hidden'"),
+    (_drop_model_json, "no model.json under"),
 ])
 def test_eval_on_broken_checkpoint_is_data_error(pipeline, tmp_path, capsys,
                                                  break_it, names):
@@ -463,11 +468,47 @@ def test_a_row_with_the_wrong_field_count_is_a_data_error_naming_its_split(
             in capsys.readouterr().err)
 
 
-def test_bad_config_file_is_config_error(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    code = main(["gen-data", "--config", str(bad), "--out", str(tmp_path / "o")])
-    assert code == 1
+@pytest.mark.parametrize("content, message", [
+    ("{not json", "is not valid JSON"),
+    (None, "config file not found"),
+    ("[1, 2]", "must hold a JSON object"),
+], ids=["not-json", "missing", "array"])
+def test_bad_config_file_is_config_error(tmp_path, capsys, content, message):
+    """``content`` None: the file does not exist."""
+    path = tmp_path / "bad.json"
+    if content is not None:
+        path.write_text(content)
+    assert main(["gen-data", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert message in err and str(path) in err
+
+
+def test_seed_flag_overrides_the_config_seed(tmp_path):
+    """``--seed 7`` draws the data of a config holding seed 7, not the config's seed 3."""
+    drawn = {}
+    for name, extra, flags in (("flag", None, ["--seed", "7"]), ("file", {"seed": 7}, []),
+                               ("config", None, [])):
+        run = tmp_path / name
+        run.mkdir()
+        assert main(["gen-data", "--config", write_config(run, extra), *flags,
+                     "--out", str(run / "data")]) == 0
+        drawn[name] = (run / "data" / "train.jsonl").read_bytes()
+    assert json.loads((tmp_path / "flag" / "data" / "resolved.json").read_text())["seed"] == 7
+    assert drawn["flag"] == drawn["file"] != drawn["config"]
+
+
+@pytest.mark.parametrize("label", ["click", "conv"])
+def test_a_label_of_2_is_a_data_error_naming_the_file_and_line(pipeline, tmp_path, capsys, label):
+    _, cfg, data_dir, train_dir = pipeline
+    bad = tmp_path / "data"
+    shutil.copytree(data_dir, bad)
+    lines = (bad / "test.jsonl").read_text().splitlines()
+    lines[3] = json.dumps({**json.loads(lines[3]), label: 2})
+    (bad / "test.jsonl").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["eval", "--config", cfg, "--data", str(bad),
+                 "--ckpt", str(train_dir / "checkpoint"), "--out", str(tmp_path / "out")]) == 2
+    assert "test.jsonl: malformed dataset line 4: labels must be 0/1" in capsys.readouterr().err
 
 
 def test_unknown_mode_is_config_error(tmp_path):
@@ -511,6 +552,7 @@ def test_unknown_mode_is_config_error(tmp_path):
     ("MVKE_LOG_LEVEL=bogus gen-data", {}, "MVKE_LOG_LEVEL"),
     ("gen-data --out config.json/o", {}, "--out config.json/o"),
     ("gen-data", {"data": {"n_tags": 2}}, "n_tags"),
+    ("gen-data --seed -1", {}, "field 'seed'"),
 ])
 def test_bad_config_value_is_config_error(pipeline, tmp_path, capsys, monkeypatch,
                                           command, extra, field):
@@ -566,6 +608,7 @@ def test_gen_data_without_config_resolves_the_documented_defaults(tmp_path, monk
     assert seen == [mvke.data.GeneratorConfig()]
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # training overflows on purpose
 def test_divergence_exits_3(tmp_path):
     cfg = write_config(tmp_path, {"train": {"learning_rate": 1e155, "epochs": 1}})
     data_dir = tmp_path / "data"

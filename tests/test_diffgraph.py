@@ -214,6 +214,22 @@ def test_bce_gradient_is_zero_at_and_beyond_the_clip():
     assert dg.grad_check(lambda: dg.bce_loss(q, labels), {"q": q}) <= 1e-5
 
 
+def test_bce_over_task_rows_is_the_sum_of_one_call_per_row():
+    """A [2, B] input: the loss is the sum of the two rows' losses and each row
+    gets its own call's gradient, bit for bit, a clipped entry included."""
+    rng = np.random.default_rng(5)
+    probs = rng.uniform(0.01, 0.99, size=(2, 37))
+    probs[1, 3] = 1.0
+    labels = (rng.random((2, 37)) < 0.4).astype(float)
+    both, rows = t(probs, rg=True), [t(row, rg=True) for row in probs]
+    loss = dg.bce_loss(both, labels)
+    total = dg.add(*(dg.bce_loss(row, y) for row, y in zip(rows, labels)))
+    dg.backward(loss)
+    dg.backward(total)
+    assert loss.shape == () and loss.data.tobytes() == total.data.tobytes()
+    assert both.grad.tobytes() == np.stack([row.grad for row in rows]).tobytes()
+
+
 def test_bce_casts_labels_to_probability_dtype():
     p = dg.raw_tensor(np.array([0.9, 0.2], dtype=np.float32))
     assert dg.bce_loss(p, np.array([1.0, 0.0])).data.dtype == np.float32
@@ -348,8 +364,10 @@ def test_grad_check_per_primitive(case):
         params = {"a": a}
     elif case == "gather":
         idx = np.array([[0, 2], [1, 1]])
-        f = lambda: dg.reduce_sum(dg.tanh(dg.gather_rows(a, idx)))
-        params = {"a": a}
+        flat = t(rng.normal(size=3), rg=True)  # a 1-D table: one scalar per row
+        f = lambda: dg.add(dg.reduce_sum(dg.tanh(dg.gather_rows(a, idx))),
+                           dg.reduce_sum(dg.tanh(dg.gather_rows(flat, idx))))
+        params = {"a": a, "flat": flat}
     elif case == "mean_axis":
         f = lambda: dg.reduce_sum(dg.mul(dg.reduce_mean(a, axis=0), dg.reduce_mean(a, axis=0)))
         params = {"a": a}

@@ -572,6 +572,24 @@ def test_cache_with_a_non_finite_value_is_data_error(saved, name, value):
         S.load_caches(saved)
 
 
+@pytest.mark.parametrize("name, column, value", [
+    ("tag_cache_ctr.bin", 0, 1e20),
+    ("tag_cache_ctr.bin", 2, -1.5),
+    ("tag_cache_cvr.bin", -1, 1.5),
+    ("tag_cache_cvr.bin", -2, -0.25),
+], ids=["embedding-huge", "embedding-below", "gate-above", "gate-negative"])
+def test_tag_cache_value_the_model_cannot_write_is_data_error(saved, name, column, value):
+    """The tag tower ends in tanh and the gate in a softmax. A flipped exponent byte
+    can make a stored tag value about 1e20, which squares past float32 in lookups."""
+    path = saved / name
+    doc = json.loads(path.with_suffix(".json").read_text())
+    raw = bytearray(path.read_bytes())
+    np.frombuffer(raw, dtype=dg.codec_dtype(doc["dtype"])).reshape(doc["shape"])[1, column] = value
+    path.write_bytes(raw)
+    with pytest.raises(DataError, match=re.escape(name) + ".*outside"):
+        S.load_caches(saved)
+
+
 def test_cache_payload_cut_mid_value_is_data_error(saved):
     path = saved / "user_cache.bin"
     path.write_bytes(path.read_bytes()[:10])

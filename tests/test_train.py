@@ -289,8 +289,9 @@ def test_fit_reports_non_finite_loss_with_location(tiny_data):
     assert (err.value.epoch, err.value.batch) == (0, 0)
 
 
-def test_multi_task_loss_graph_stays_within_node_budget():
-    """Tensors reachable from one multi-task loss at the default shape."""
+@pytest.mark.parametrize("mode", T.MODES)
+def test_multi_task_loss_graph_stays_within_node_budget(mode):
+    """Tensors reachable from one loss in each training mode at the default shape."""
     gen = D.GeneratorConfig()
     cfg = M.ModelConfig(schema=D.schema_for(gen, embed_dim=16),
                         routing=M.five_expert_routing())
@@ -302,14 +303,14 @@ def test_multi_task_loss_graph_stays_within_node_budget():
                 for i in range(8)]
     batch = M.encode_examples(examples, cfg.schema)
     assert batch.field_idx[-1].shape[1] == 3
-    loss = T.mtl_loss(batch, cfg, M.init_mvke_params(cfg, seed=0), "multi")
+    loss = T.mtl_loss(batch, cfg, M.init_mvke_params(cfg, seed=0), mode)
     seen, stack = {id(loss)}, [loss]
     while stack:
         for parent in stack.pop()._parents:
             if id(parent) not in seen:
                 seen.add(id(parent))
                 stack.append(parent)
-    assert len(seen) <= 74
+    assert len(seen) <= 67
 
 
 def test_multi_task_loss_gradient_check_with_multi_valued_field(small_cfg):
