@@ -26,7 +26,7 @@ from . import serve as serve_mod
 from .errors import ConfigError, DataError, MvkeError, NumericsError
 from .model import (ModelConfig, MvkeModel, Task, TwoTowerModel, _float, _int, _ints, _read,
                     five_expert_routing, load_model, save_model, split_routing)
-from .train import TrainConfig, fit
+from .train import TrainConfig, fit, sensitivity_sweep
 
 log = logging.getLogger("mvke")
 
@@ -261,10 +261,8 @@ def cmd_sweep(args, resolved: dict, out: Path) -> int:
     counts = _field(resolved, "eval", "sweep_counts", _ints)
     train_ds, test_ds = _read_split(args, "train"), _read_split(args, "test")
     with dg.precision(resolved["precision"]):
-        rows = eval_mod.sensitivity_sweep(counts, train_ds, test_ds,
-                                          model_config(resolved),
-                                          train_config(resolved),
-                                          seed=resolved["seed"] + 1)
+        rows = sensitivity_sweep(counts, train_ds, test_ds, model_config(resolved),
+                                 train_config(resolved), seed=resolved["seed"] + 1)
     eval_mod.write_csv(rows, out / "sweep.csv")
     return 0
 

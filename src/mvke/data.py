@@ -29,6 +29,7 @@ import numpy as np
 
 from . import diffgraph as dg
 from .errors import ConfigError, DataError
+from .evaluation import auc
 from .model import FieldSchema, Task, _int
 
 LATENT_CORRELATION = 0.5
@@ -157,23 +158,30 @@ class GroundTruth:
 
     @classmethod
     def load(cls, path) -> "GroundTruth":
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(
-            user_click=dg.decode_array(doc["user_click"]),
-            user_conv=dg.decode_array(doc["user_conv"]),
-            tag_vectors=dg.decode_array(doc["tag_vectors"]),
-            tag_facets=np.array(doc["tag_facets"], dtype=np.int64),
-            click_offset=doc["click_offset"],
-            conv_offset=doc["conv_offset"],
-            user_fields=[_tuple_fields(f) for f in doc["user_fields"]],
-            ad_tags=[tuple(t) for t in doc["ad_tags"]],
-            train_span=tuple(doc["train_span"]),
-            test_span=tuple(doc["test_span"]),
-        )
+        """Truth from ``save``; DataError naming the file for a malformed one."""
+        try:
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+            return cls(
+                user_click=dg.decode_array(doc["user_click"]),
+                user_conv=dg.decode_array(doc["user_conv"]),
+                tag_vectors=dg.decode_array(doc["tag_vectors"]),
+                tag_facets=np.array(doc["tag_facets"], dtype=np.int64),
+                click_offset=doc["click_offset"],
+                conv_offset=doc["conv_offset"],
+                user_fields=[_field_values(f) for f in doc["user_fields"]],
+                ad_tags=[tuple(t) for t in doc["ad_tags"]],
+                train_span=tuple(doc["train_span"]),
+                test_span=tuple(doc["test_span"]),
+            )
+        except KeyError as e:
+            raise DataError(f"{path} has no key {e}") from e
+        except (DataError, OSError, TypeError, ValueError) as e:
+            raise DataError(f"bad {path}: {e}") from e
 
 
-def _tuple_fields(field_values: list) -> tuple:
-    return tuple(tuple(v) if isinstance(v, list) else v for v in field_values)
+def _field_values(values) -> tuple:
+    """A record's field values, each a JSON integer or a list of them; ValueError otherwise."""
+    return tuple(tuple(map(_int, v)) if isinstance(v, list) else _int(v) for v in values)
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +345,7 @@ def read_dataset(path) -> list[Example]:
                 doc = json.loads(line)
                 ex = Example(
                     user_id=_int(doc["user_id"]),
-                    field_values=tuple(tuple(map(_int, v)) if isinstance(v, list)
-                                       else _int(v) for v in doc["fields"]),
+                    field_values=_field_values(doc["fields"]),
                     tag_set=tuple(map(_int, doc["tags"])),
                     click_label=_int(doc["click"]),
                     conversion_label=_int(doc["conv"]),
@@ -363,8 +370,6 @@ def bayes_auc(truth: GroundTruth, dataset: Sequence[Example], task: Task) -> flo
     This upper-bounds any learned model in expectation, since the true
     probability is the Bayes-optimal score for ranking.
     """
-    from .evaluation import auc
-
     scores = truth.true_scores(dataset, task)
     labels = np.array([ex.click_label if task == Task.CTR else ex.conversion_label
                        for ex in dataset])

@@ -2,9 +2,9 @@
 
 A small numpy-backed engine. Its primitives, each one graph node with a
 hand-written gradient, are ``add``, ``mul``, ``matmul``, ``affine`` (``x @ W + b``),
-``transpose``, ``reshape``, ``reduce_sum``, ``reduce_mean``, ``tanh``, ``relu``,
-``sigmoid``, ``softmax``, ``gather_rows``, ``gather_mix`` (rows gathered through a
-shared index and mixed by weights), ``cosine_similarity`` and ``bce_loss``.
+``transpose``, ``reshape``, ``reduce_sum``, ``tanh``, ``relu``, ``sigmoid``,
+``softmax``, ``gather_rows``, ``gather_mix`` (rows gathered through a shared index
+and mixed by weights), ``cosine_similarity`` and ``bce_loss``.
 Attention is composed of them: ``attention_weights(q, k)`` is
 ``softmax(Q K^T / sqrt(d))``, and a caller mixes values with
 ``matmul(attention_weights(q, k), v)``. Plus a finite-difference gradient
@@ -286,19 +286,6 @@ def reduce_sum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Te
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.data.shape),)
-
-    return _node(np.asarray(out), (a,), grad_fn)
-
-
-def reduce_mean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    count = a.data.size if axis is None else a.data.shape[axis]
-    out = a.data.mean(axis=axis, keepdims=keepdims)
-
-    def grad_fn(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.data.shape) / count,)
 
     return _node(np.asarray(out), (a,), grad_fn)
 

@@ -1,5 +1,5 @@
-"""Ranking metrics and offline analysis: AUC, task reports, the expert-count
-sweep and the gate-weight export."""
+"""Ranking metrics and offline analysis: AUC, task reports and the gate-weight
+export."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, UndefinedMetricError, prefix_data_errors
-from .model import EncodedBatch, ModelConfig, MvkeModel, Task, encode_examples, split_routing
+from .model import EncodedBatch, MvkeModel, Task, encode_examples
 
 EVAL_BATCH = 1024
 
@@ -89,29 +89,6 @@ def evaluate(model, dataset: Sequence, model_id: str | None = None,
         counts[task] = batch.size
         positives[task] = int(labels.sum())
     return EvalReport(model_id or model.kind, seed, aucs, counts, positives)
-
-
-def sensitivity_sweep(expert_counts: Sequence[int], train_ds: Sequence,
-                      test_ds: Sequence, base_cfg: ModelConfig, train_cfg,
-                      seed: int = 0) -> list[dict]:
-    """Train and evaluate once per expert count, shared seed and data.
-
-    Routing is auto-split per count. Returns one row per count with both
-    task AUCs.
-    """
-    from .train import fit  # local import; train depends on this module
-
-    rows = []
-    for k in expert_counts:
-        cfg = ModelConfig(schema=base_cfg.schema, routing=split_routing(k),
-                          head_hidden=base_cfg.head_hidden, tau_init=base_cfg.tau_init)
-        model = MvkeModel(cfg, seed=seed)
-        fit(model, train_ds, test_ds, train_cfg)
-        report = evaluate(model, test_ds, model_id=f"mvke-k{k}", seed=seed)
-        rows.append({"n_experts": k,
-                     "ctr_auc": report.aucs[Task.CTR],
-                     "cvr_auc": report.aucs[Task.CVR]})
-    return rows
 
 
 def export_gate_weights(model: MvkeModel, tag_ids: Sequence[int] | None = None) -> list[dict]:

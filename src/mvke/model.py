@@ -7,12 +7,12 @@ Two models share the same tag tower and scoring head:
   a tag-conditioned gate. Each expert layer is one parameter with a leading
   expert axis, each task parameter (tag tower, gate, temperature) one with a
   leading task axis; the routing of experts to tasks is a gate-logit mask;
-* a plain two-tower baseline: mean field embedding through a small MLP.
+* a plain two-tower baseline: mean field embedding (``gather_mix``) through a small MLP.
 
 All forward functions are pure in the parameters and take batches only:
 one example is a batch of one. The thin model classes only add
-construction, prediction batching and tower invocation counters for the
-serving path.
+construction, prediction batching and, on the mixture, the tower
+invocation counters of the serving path.
 """
 
 from __future__ import annotations
@@ -65,10 +65,6 @@ class FieldSchema:
         for name, vocab in self.user_fields:
             if vocab < 1:
                 raise ConfigError(f"field {name!r} has empty vocab")
-
-    @property
-    def field_names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.user_fields)
 
     @property
     def field_offsets(self) -> tuple[int, ...]:
@@ -439,10 +435,6 @@ def init_two_tower_params(cfg: ModelConfig, seed: int) -> dict[str, Tensor]:
     return _params({**arrays, **_task_arrays(rng, cfg, 1, gate=False)})
 
 
-def count_params(params: dict[str, Tensor]) -> int:
-    return sum(t.size for t in params.values())
-
-
 # ---------------------------------------------------------------------------
 # forward pieces
 
@@ -568,23 +560,13 @@ def mixture(batch: EncodedBatch, schema: FieldSchema, params: dict[str, Tensor],
     return score_pair(users, tags, params), gates
 
 
-def mvke_forward(batch: EncodedBatch, cfg: ModelConfig,
-                 params: dict[str, Tensor]) -> dict[Task, tuple[Tensor, Tensor]]:
-    """Full mixture forward for a batch: every expert runs once, for both tasks.
-
-    Returns ``{task: (probabilities [B], gate_weights [B, k])}``; a task's
-    gate weights are exactly 0 on the experts outside its routing set.
-    """
-    probs, gates = mixture(batch, cfg.schema, params, cfg.routing)
-    return {task: (dg.gather_rows(probs, i), dg.gather_rows(gates, i))
-            for i, task in enumerate(TASKS)}
-
-
 def two_tower_user_embedding(batch: EncodedBatch, cfg: ModelConfig,
                              params: dict[str, Tensor]) -> Tensor:
-    """Baseline user tower [B, d]: mean field embedding through a 2-layer MLP."""
+    """Baseline user tower [B, d]: mean field embedding (``gather_mix``) through a 2-layer MLP."""
     rows, inverse = embed_user_fields(batch, params, cfg.schema)
-    pooled = dg.reduce_mean(dg.gather_rows(rows, inverse), axis=1)
+    (u, d), (b, m) = rows.shape, inverse.shape
+    weights = dg.raw_tensor(np.full((1, b, m), 1.0 / m, dtype=rows.data.dtype))
+    pooled = dg.reshape(dg.gather_mix(weights, dg.reshape(rows, (1, u, d)), inverse), (b, d))
     hidden = dg.relu(dg.affine(pooled, params["user_mlp.w1"], params["user_mlp.b1"]))
     return dg.affine(hidden, params["user_mlp.w2"], params["user_mlp.b2"])
 
@@ -675,16 +657,10 @@ class TwoTowerModel:
         self.task = task
         self.tasks = (task,)
         self.params = params if params is not None else init_two_tower_params(cfg, seed)
-        self.counters = {"user_tower": 0, "tag_tower": 0}
-
-    def reset_counters(self) -> None:
-        self.counters = {"user_tower": 0, "tag_tower": 0}
 
     def predict(self, batch: EncodedBatch, task: Task) -> np.ndarray:
         if task != self.task:
             raise ConfigError(f"baseline model only serves task {self.task.value}")
-        self.counters["user_tower"] += batch.size
-        self.counters["tag_tower"] += batch.size
         out = two_tower_forward(batch, self.cfg, _frozen(self.params))
         return dg.require_finite(out.data, f"{task.value} predictions")
 

@@ -85,10 +85,6 @@ class UserCache:
             raise DataError(f"user {user_id} not cached")
         return self.vectors[i]
 
-    @property
-    def stored_values(self) -> int:
-        return int(self.vectors.size)
-
     def save(self, bin_path, index_path) -> None:
         _write_cache(bin_path, index_path, self.vectors, {"ids": self.user_ids})
 

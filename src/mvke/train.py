@@ -1,4 +1,4 @@
-"""Multi-task training: joint loss, Adam, and the fit loop."""
+"""Multi-task training: joint loss, Adam, the fit loop and the expert-count sweep."""
 
 from __future__ import annotations
 
@@ -10,9 +10,9 @@ import numpy as np
 from . import diffgraph as dg
 from .diffgraph import Tensor
 from .errors import ConfigError, NumericsError, TrainingDivergenceError, prefix_data_errors
-from .evaluation import auc, predict_dataset
-from .model import (EncodedBatch, ModelConfig, Task, TASKS, encode_examples, mixture,
-                    two_tower_forward)
+from .evaluation import auc, evaluate, predict_dataset
+from .model import (EncodedBatch, ModelConfig, MvkeModel, Task, TASKS, encode_examples, mixture,
+                    split_routing, two_tower_forward)
 
 MODES = ("ctr-only", "cvr-only", "multi")
 
@@ -187,3 +187,21 @@ def fit(model, train_ds: Sequence, valid_ds: Sequence,
             best_params = snapshot_params(model.params)
     model.params = best_params
     return best_params, history
+
+
+def sensitivity_sweep(expert_counts: Sequence[int], train_ds: Sequence,
+                      test_ds: Sequence, base_cfg: ModelConfig, train_cfg: TrainConfig,
+                      seed: int = 0) -> list[dict]:
+    """Train and evaluate once per expert count (auto-split routing), shared seed and
+    data; returns one row per count with both task AUCs."""
+    rows = []
+    for k in expert_counts:
+        cfg = ModelConfig(schema=base_cfg.schema, routing=split_routing(k),
+                          head_hidden=base_cfg.head_hidden, tau_init=base_cfg.tau_init)
+        model = MvkeModel(cfg, seed=seed)
+        fit(model, train_ds, test_ds, train_cfg)
+        report = evaluate(model, test_ds, model_id=f"mvke-k{k}", seed=seed)
+        rows.append({"n_experts": k,
+                     "ctr_auc": report.aucs[Task.CTR],
+                     "cvr_auc": report.aucs[Task.CVR]})
+    return rows

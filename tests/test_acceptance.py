@@ -91,9 +91,9 @@ def test_criterion_1_gradient_correctness():
         cfg, params, batch = small_model_batch()
 
         def loss():
-            out = M.mvke_forward(batch, cfg, params)
-            return dg.add(dg.bce_loss(out[Task.CTR][0], batch.clicks),
-                          dg.bce_loss(out[Task.CVR][0], batch.convs))
+            probs, _ = M.mixture(batch, cfg.schema, params, cfg.routing)
+            return dg.add(dg.bce_loss(dg.gather_rows(probs, TASKS.index(Task.CTR)), batch.clicks),
+                          dg.bce_loss(dg.gather_rows(probs, TASKS.index(Task.CVR)), batch.convs))
 
         full_err = dg.grad_check(loss, params, max_entries=32)
 
@@ -111,8 +111,9 @@ def test_criterion_1_gradient_correctness():
             (lambda: dg.reduce_sum(dg.mul(dg.softmax(a, axis=-1), v)), {"a": a}),
             (lambda: dg.reduce_sum(dg.relu(dg.gather_rows(a, np.array([0, 2, 1])))),
              {"a": a}),
-            (lambda: dg.reduce_sum(dg.mul(dg.reduce_mean(a, axis=0),
-                                          dg.reduce_mean(a, axis=0))), {"a": a}),
+            (lambda: dg.reduce_sum(dg.tanh(dg.gather_mix(
+                dg.reshape(a, (1, 3, 4)), dg.reshape(v, (1, 3, 4)),
+                np.array([[1, 1, 0, 2], [0, 2, 2, 1], [2, 1, 0, 0]])))), {"a": a, "v": v}),
             (lambda: dg.cosine_similarity(x, y), {"x": x, "y": y}),
             (lambda: dg.bce_loss(dg.sigmoid(logits), labels), {"logits": logits}),
             (lambda: dg.reduce_sum(dg.matmul(dg.attention_weights(dg.tanh(a), dg.tanh(v)),
@@ -239,10 +240,12 @@ def test_criterion_6_isolation_and_additivity():
         additive = multi == parts
 
         # isolation: perturbing an off-task expert leaves outputs bit-identical
-        before = M.mvke_forward(batch, cfg, params)[Task.CTR][0].data.copy()
+        probs, _ = M.mixture(batch, cfg.schema, params, cfg.routing)
+        before = probs.data[TASKS.index(Task.CTR)]
         params["experts.q_proj.w"].data[4] += 1.0  # expert 4 serves cvr only
         params["experts.head2.w"].data[4] -= 0.5
-        after = M.mvke_forward(batch, cfg, params)[Task.CTR][0].data
+        probs, _ = M.mixture(batch, cfg.schema, params, cfg.routing)
+        after = probs.data[TASKS.index(Task.CTR)]
         isolated = bool(np.array_equal(before, after))
 
         # complement: one ctr-only step leaves cvr-exclusive params untouched
@@ -335,7 +338,7 @@ def test_criterion_9_sensitivity_sweep():
         train, test, _ = D.generate(gen)
         base = M.ModelConfig(schema=D.schema_for(gen, embed_dim=16),
                              routing=M.five_expert_routing())
-        rows = E.sensitivity_sweep(range(4, 11), train, test, base,
+        rows = T.sensitivity_sweep(range(4, 11), train, test, base,
                                    T.TrainConfig(epochs=6, seed=10), seed=9)
     complete = [int(r["n_experts"]) for r in rows] == list(range(4, 11))
     floors = all(min(r["ctr_auc"], r["cvr_auc"]) >= 0.6 for r in rows)

@@ -235,6 +235,40 @@ def test_truth_round_trip(tmp_path, small_gen):
     assert truth.p_click(ex.user_id, ex.tag_set) == again.p_click(ex.user_id, ex.tag_set)
 
 
+def test_truncated_truth_is_data_error_naming_the_file(tmp_path, small_gen):
+    _, _, _, truth = small_gen
+    path = tmp_path / "truth.json"
+    truth.save(path)
+    text = path.read_text()
+    path.write_text(text[:len(text) // 2])
+    with pytest.raises(DataError, match=r"truth\.json"):
+        D.GroundTruth.load(path)
+
+
+@pytest.mark.parametrize("key", ["tag_facets", "user_fields", "user_click"])
+def test_truth_missing_a_key_is_data_error_naming_the_file_and_key(tmp_path, small_gen, key):
+    _, _, _, truth = small_gen
+    path = tmp_path / "truth.json"
+    truth.save(path)
+    doc = json.loads(path.read_text())
+    del doc[key]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=rf"truth\.json has no key '{key}'"):
+        D.GroundTruth.load(path)
+
+
+@pytest.mark.parametrize("fields", [[1.5, [2]], [1, [2, "3"]], [True]])
+def test_truth_user_field_that_is_not_a_json_integer_is_data_error(tmp_path, small_gen, fields):
+    _, _, _, truth = small_gen
+    path = tmp_path / "truth.json"
+    truth.save(path)
+    doc = json.loads(path.read_text())
+    doc["user_fields"][3] = fields
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=r"bad .*truth\.json: expected an integer"):
+        D.GroundTruth.load(path)
+
+
 # ---------------------------------------------------------------------------
 # bayes oracle
 
@@ -299,5 +333,5 @@ def test_schema_for_matches_field_layout(small_gen):
     cfg, _, _, _ = small_gen
     schema = D.schema_for(cfg, embed_dim=8)
     assert schema.tag_vocab_size == cfg.n_tags
-    assert schema.field_names == tuple(n for n, _, _ in D.FIELD_LAYOUT)
+    assert tuple(n for n, _ in schema.user_fields) == tuple(n for n, _, _ in D.FIELD_LAYOUT)
     assert schema.embed_dim == 8

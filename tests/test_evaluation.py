@@ -126,7 +126,7 @@ def test_evaluate_counts(tiny_gen):
 def test_sweep_single_count_equals_direct_fit(tiny_gen):
     train, test, _, mcfg = tiny_gen
     tcfg = T.TrainConfig(epochs=1, seed=5)
-    rows = E.sensitivity_sweep([5], train[:600], test[:600], mcfg, tcfg, seed=4)
+    rows = T.sensitivity_sweep([5], train[:600], test[:600], mcfg, tcfg, seed=4)
     assert len(rows) == 1
 
     direct_cfg = M.ModelConfig(schema=mcfg.schema, routing=M.split_routing(5))

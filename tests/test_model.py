@@ -50,7 +50,7 @@ def one_expert(params, e):
 
 def field_rows(array, schema, fname):
     """Field ``fname``'s rows of a stacked ``user_embed`` array, found through its offset."""
-    j = schema.field_names.index(fname)
+    j = [name for name, _ in schema.user_fields].index(fname)
     start = schema.field_offsets[j]
     return array[start:start + schema.user_fields[j][1]]
 
@@ -345,8 +345,8 @@ def test_embedding_gradient_touches_only_looked_up_rows(small_cfg):
     batch = M.encode_examples([FakeExample((1, 2, 3), (1,), 1, 0)], small_cfg.schema)
 
     def loss():
-        out = M.mvke_forward(batch, small_cfg, params)
-        return dg.bce_loss(out[Task.CTR][0], batch.clicks)
+        probs, _ = M.mixture(batch, small_cfg.schema, params, small_cfg.routing)
+        return dg.bce_loss(dg.gather_rows(probs, M.TASKS.index(Task.CTR)), batch.clicks)
 
     dg.zero_grads(params)
     dg.backward(loss())
@@ -562,7 +562,8 @@ def test_routing_isolation_bit_identical(small_cfg, small_batch_examples):
     cfg = M.ModelConfig(schema=schema, routing=routing)
     params = M.init_mvke_params(cfg, seed=0)
     batch = M.encode_examples(small_batch_examples, schema)
-    before = M.mvke_forward(batch, cfg, params)[Task.CTR][0].data.copy()
+    probs, _ = M.mixture(batch, schema, params, routing)
+    before = probs.data[M.TASKS.index(Task.CTR)]
     # perturb everything owned by expert 1 and the cvr tower/gate
     rng = np.random.default_rng(8)
     for name in expert_names(params):
@@ -571,17 +572,20 @@ def test_routing_isolation_bit_identical(small_cfg, small_batch_examples):
         if name.startswith(M.TASK_STACKED):
             t.data[1] += rng.normal(size=t.data[1].shape)  # the cvr slice
     params["virtual_kernels"].data[1] += 0.37
-    after = M.mvke_forward(batch, cfg, params)[Task.CTR][0].data
+    probs, _ = M.mixture(batch, schema, params, routing)
+    after = probs.data[M.TASKS.index(Task.CTR)]
     np.testing.assert_array_equal(before, after)
 
 
 def test_routing_isolation_under_default_split(small_cfg, small_batch_examples):
     params = make_params(small_cfg)
     batch = M.encode_examples(small_batch_examples, small_cfg.schema)
-    before = M.mvke_forward(batch, small_cfg, params)[Task.CTR][0].data.copy()
+    probs, _ = M.mixture(batch, small_cfg.schema, params, small_cfg.routing)
+    before = probs.data[M.TASKS.index(Task.CTR)]
     for name in ("q_proj.w", "k_proj.b", "head2.w"):
         params[f"experts.{name}"].data[4] += 1.0  # expert 4 serves cvr only
-    after = M.mvke_forward(batch, small_cfg, params)[Task.CTR][0].data
+    probs, _ = M.mixture(batch, small_cfg.schema, params, small_cfg.routing)
+    after = probs.data[M.TASKS.index(Task.CTR)]
     np.testing.assert_array_equal(before, after)
 
 
@@ -591,8 +595,8 @@ def test_shared_experts_receive_gradient_from_each_single_task_loss(
     batch = M.encode_examples(small_batch_examples, small_cfg.schema)
     for task, labels in ((Task.CTR, batch.clicks), (Task.CVR, batch.convs)):
         dg.zero_grads(params)
-        out = M.mvke_forward(batch, small_cfg, params)
-        dg.backward(dg.bce_loss(out[task][0], labels))
+        probs, _ = M.mixture(batch, small_cfg.schema, params, small_cfg.routing)
+        dg.backward(dg.bce_loss(dg.gather_rows(probs, M.TASKS.index(task)), labels))
         for shared in small_cfg.routing.shared:
             grad = params["experts.k_proj.w"].grad
             assert grad is not None and np.linalg.norm(grad[shared]) > 0.0
@@ -601,11 +605,13 @@ def test_shared_experts_receive_gradient_from_each_single_task_loss(
 def test_gate_weights_ignore_user_features(small_cfg, small_batch_examples):
     params = make_params(small_cfg)
     batch = M.encode_examples(small_batch_examples, small_cfg.schema)
-    w_before = M.mvke_forward(batch, small_cfg, params)[Task.CTR][1].data.copy()
+    _, gates = M.mixture(batch, small_cfg.schema, params, small_cfg.routing)
+    w_before = gates.data[M.TASKS.index(Task.CTR)]
     for fname in ("color", "size", "habits"):
         table = field_rows(params["user_embed"].data, small_cfg.schema, fname)
         table += np.random.default_rng(9).normal(size=table.shape)
-    w_after = M.mvke_forward(batch, small_cfg, params)[Task.CTR][1].data
+    _, gates = M.mixture(batch, small_cfg.schema, params, small_cfg.routing)
+    w_after = gates.data[M.TASKS.index(Task.CTR)]
     np.testing.assert_array_equal(w_before, w_after)
 
 
@@ -613,19 +619,21 @@ def test_gate_weights_vary_with_tag(small_cfg):
     params = make_params(small_cfg)
     exs = [FakeExample((1, 2, 3), (t,), 0, 0) for t in (0, 5)]
     batch = M.encode_examples(exs, small_cfg.schema)
-    w = M.mvke_forward(batch, small_cfg, params)[Task.CTR][1].data
+    _, gates = M.mixture(batch, small_cfg.schema, params, small_cfg.routing)
+    w = gates.data[M.TASKS.index(Task.CTR)]
     assert not np.allclose(w[0], w[1])
 
 
 def test_mvke_batch_matches_single_example(small_cfg, small_batch_examples):
     params = make_params(small_cfg)
     batch = M.encode_examples(small_batch_examples, small_cfg.schema)
-    full = M.mvke_forward(batch, small_cfg, params)
+    full, _ = M.mixture(batch, small_cfg.schema, params, small_cfg.routing)
     for i, ex in enumerate(small_batch_examples):
         one = M.encode_examples([ex], small_cfg.schema)
-        out = M.mvke_forward(one, small_cfg, params)
+        out, _ = M.mixture(one, small_cfg.schema, params, small_cfg.routing)
         for task in M.TASKS:
-            assert full[task][0].data[i] == pytest.approx(out[task][0].data[0], abs=1e-12)
+            j = M.TASKS.index(task)
+            assert full.data[j, i] == pytest.approx(out.data[j, 0], abs=1e-12)
 
 
 ROUTINGS = {**{f"split{k}": M.split_routing(k) for k in range(3, 11)},
@@ -639,9 +647,9 @@ def test_off_task_gate_weights_are_exactly_zero(small_schema, routing):
     model = M.MvkeModel(M.ModelConfig(schema=small_schema, routing=routing), seed=2)
     tags = list(range(small_schema.tag_vocab_size))
     batch = M.encode_examples([FakeExample((1, 2, 3), (t,)) for t in tags], small_schema)
-    out = M.mvke_forward(batch, model.cfg, model.params)
+    _, all_gates = M.mixture(batch, small_schema, model.params, routing)
     for task in M.TASKS:
-        gates = out[task][1].data
+        gates = all_gates.data[M.TASKS.index(task)]
         experts = list(routing.task_experts(task))
         off = [e for e in range(routing.n_experts) if e not in experts]
         assert gates.shape == (len(tags), routing.n_experts)
@@ -661,8 +669,8 @@ def test_single_task_backward_leaves_other_task_slices_at_zero(
         other = M.TASKS[1 - i]
         exclusive = sorted(set(routing.task_experts(other)) - set(routing.task_experts(task)))
         dg.zero_grads(params)
-        dg.backward(dg.bce_loss(M.mvke_forward(batch, cfg, params)[task][0],
-                                batch.label(task)))
+        probs, _ = M.mixture(batch, small_schema, params, routing)
+        dg.backward(dg.bce_loss(dg.gather_rows(probs, i), batch.label(task)))
         zero, nonzero = [], []
         for name, t in params.items():
             if name.startswith(M.TASK_STACKED):
@@ -680,9 +688,9 @@ def test_single_task_predict_equals_the_full_forward(small_cfg, small_batch_exam
     # bit for bit at five experts: the masked columns only add exact zeros to the sums
     model = M.MvkeModel(small_cfg, seed=4)
     batch = M.encode_examples(small_batch_examples, small_cfg.schema)
-    out = M.mvke_forward(batch, small_cfg, model.params)
+    probs, _ = M.mixture(batch, small_cfg.schema, model.params, small_cfg.routing)
     for task in M.TASKS:
-        np.testing.assert_array_equal(model.predict(batch, task), out[task][0].data)
+        np.testing.assert_array_equal(model.predict(batch, task), probs.data[M.TASKS.index(task)])
 
 
 def test_stacked_prefixes_name_every_parameter_with_a_task_or_expert_axis(small_cfg):
@@ -705,9 +713,9 @@ def test_full_model_gradient_check(small_cfg, small_batch_examples):
     batch = M.encode_examples(small_batch_examples, small_cfg.schema)
 
     def loss():
-        out = M.mvke_forward(batch, small_cfg, params)
-        return dg.add(dg.bce_loss(out[Task.CTR][0], batch.clicks),
-                      dg.bce_loss(out[Task.CVR][0], batch.convs))
+        probs, _ = M.mixture(batch, small_cfg.schema, params, small_cfg.routing)
+        return dg.add(dg.bce_loss(dg.gather_rows(probs, M.TASKS.index(Task.CTR)), batch.clicks),
+                      dg.bce_loss(dg.gather_rows(probs, M.TASKS.index(Task.CVR)), batch.convs))
 
     assert dg.grad_check(loss, params, max_entries=8) <= 1e-4
 
@@ -727,7 +735,9 @@ def test_single_expert_loss_gradient_check(small_cfg, small_batch_examples):
 
     def loss():
         rows, inverse = M.embed_user_fields(batch, params, small_cfg.schema)
-        out = dg.add(dg.reduce_mean(M.vke_forward(rows, inverse, params), axis=0), both_tasks)
+        k = small_cfg.routing.n_experts
+        out = dg.add(dg.mul(dg.reduce_sum(M.vke_forward(rows, inverse, params), axis=0), 1.0 / k),
+                     both_tasks)
         tags = M.tag_tower(batch.tag_idx, batch.tag_weight, params)
         probs = M.score_pair(out, tags, params)
         return dg.bce_loss(dg.gather_rows(probs, 0), batch.clicks)
@@ -744,7 +754,7 @@ def test_single_expert_loss_gradient_check(small_cfg, small_batch_examples):
 def test_two_tower_has_fewer_params_than_mvke(small_cfg):
     mvke_params = make_params(small_cfg)
     tt_params = M.init_two_tower_params(small_cfg, seed=0)
-    assert M.count_params(tt_params) < M.count_params(mvke_params)
+    assert sum(t.size for t in tt_params.values()) < sum(t.size for t in mvke_params.values())
 
 
 def test_two_tower_identity_mlp_returns_field_embedding():

@@ -44,7 +44,7 @@ def test_user_cache_size_claim(served):
     k = model.cfg.routing.n_experts
     d = model.cfg.schema.embed_dim
     assert user_cache.vectors.shape == (len(users), k, d)
-    assert user_cache.stored_values == k * len(users) * d
+    assert user_cache.vectors.size == k * len(users) * d
 
 
 @pytest.mark.parametrize("precision", ["f32", "f64"])

@@ -72,7 +72,8 @@ def test_loss_matches_per_example_oracle(small_cfg, small_batch_examples):
         terms = []
         for ex in small_batch_examples:
             one = M.encode_examples([ex], small_cfg.schema)
-            p = float(M.mvke_forward(one, small_cfg, params)[task][0].data[0])
+            probs, _ = M.mixture(one, small_cfg.schema, params, small_cfg.routing)
+            p = float(probs.data[M.TASKS.index(task), 0])
             y = ex.click_label if task == Task.CTR else ex.conversion_label
             p = min(max(p, 1e-7), 1 - 1e-7)
             terms.append(-(y * math.log(p) + (1 - y) * math.log(1 - p)))
@@ -89,7 +90,8 @@ def test_all_negative_batch_with_tiny_probability_has_tiny_loss(small_cfg):
         for tag in range(10):
             ex = FakeExample(fv, (tag,), 0, 0)
             one = M.encode_examples([ex], small_cfg.schema)
-            p = float(M.mvke_forward(one, small_cfg, params)[Task.CTR][0].data[0])
+            probs, _ = M.mixture(one, small_cfg.schema, params, small_cfg.routing)
+            p = float(probs.data[M.TASKS.index(Task.CTR), 0])
             if p < 1e-12:
                 kept.append(ex)
     assert len(kept) >= 2
