@@ -135,10 +135,18 @@ class GroundTruth:
     def p_conv(self, user_id: int, tags: Sequence[int]) -> float:
         return self.p_click(user_id, tags) * self.p_conv_given_click(user_id, tags)
 
-    def true_scores(self, dataset: Iterable[Example], task: Task) -> np.ndarray:
-        if task == Task.CTR:
-            return np.array([self.p_click(ex.user_id, ex.tag_set) for ex in dataset])
-        return np.array([self.p_conv(ex.user_id, ex.tag_set) for ex in dataset])
+    def true_scores(self, dataset: Sequence[Example], task: Task) -> np.ndarray:
+        """The true probability of each row; DataError naming the first row with
+        a user or tag id outside the truth's arrays."""
+        n_users, n_tags = len(self.user_click), len(self.tag_vectors)
+        for row, ex in enumerate(dataset):
+            wrong = [f"user id {ex.user_id}"] if not 0 <= ex.user_id < n_users else []
+            wrong += [f"tag id {t}" for t in ex.tag_set if not 0 <= t < n_tags]
+            if wrong:
+                raise DataError(f"row {row}: {wrong[0]} is outside the truth of {n_users} "
+                                f"users and {n_tags} tags")
+        score = self.p_click if task == Task.CTR else self.p_conv
+        return np.array([score(ex.user_id, ex.tag_set) for ex in dataset])
 
     def save(self, path) -> None:
         doc = {

@@ -2,9 +2,10 @@
 
 A small numpy-backed engine. Its primitives, each one graph node with a
 hand-written gradient, are ``add``, ``mul``, ``matmul``, ``affine`` (``x @ W + b``),
-``transpose``, ``reshape``, ``reduce_sum``, ``tanh``, ``relu``, ``sigmoid``,
-``softmax``, ``gather_rows``, ``gather_mix`` (rows gathered through a shared index
-and mixed by weights), ``cosine_similarity`` and ``bce_loss``.
+``transpose``, ``reshape``, ``reduce_sum``, ``tanh``, ``relu``, ``softmax``,
+``gather_rows``, ``gather_mix`` (rows gathered through a shared index and mixed
+by weights), ``mix`` (a weighted sum over a leading expert axis),
+``cosine_score`` (``sigmoid(tau * cos(a, b))``) and ``bce_loss``.
 Attention is composed of them: ``attention_weights(q, k)`` is
 ``softmax(Q K^T / sqrt(d))``, and a caller mixes values with
 ``matmul(attention_weights(q, k), v)``. Plus a finite-difference gradient
@@ -22,7 +23,7 @@ an input has ``requires_grad``, so a forward over non-tracking views of the
 parameters (``raw_tensor``) builds no graph. The global precision
 (``set_precision``, ``precision``) is read only where raw numbers become a
 ``Tensor``: parameter initialization and tests. The degenerate-norm count of
-``cosine_similarity`` is the one other module global.
+``cosine_score`` is the one other module global.
 
 Model parameters are plain ``dict[str, Tensor]`` maps; the name is a
 dot-separated path (for example ``"experts.q_proj.w"``, which stacks the
@@ -179,7 +180,8 @@ def add(a, b) -> Tensor:
     out = a.data + b.data
 
     def grad_fn(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.data.shape) if b.requires_grad else None)
 
     return _node(out, (a, b), grad_fn)
 
@@ -278,12 +280,12 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     return _node(out, (a,), grad_fn)
 
 
-def reduce_sum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
+def reduce_sum(a: Tensor, axis: int | None = None) -> Tensor:
     a = as_tensor(a)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
+    out = a.data.sum(axis=axis)
 
     def grad_fn(g):
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.data.shape),)
 
@@ -336,16 +338,6 @@ def _sigmoid_scalar(z: float) -> float:
     return e / (1.0 + e)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    a = as_tensor(a)
-    out = _sigmoid_values(a.data)
-
-    def grad_fn(g):
-        return (g * out * (1.0 - out),)
-
-    return _node(out, (a,), grad_fn)
-
-
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along ``axis`` (max subtraction)."""
     a = as_tensor(a)
@@ -379,17 +371,14 @@ def gather_rows(table: Tensor, indices) -> Tensor:
     idx = np.asarray(indices)
     if not np.issubdtype(idx.dtype, np.integer):
         raise DataError("gather_rows indices must be integers")
-    rows = table.shape[0]
-    if idx.size and (idx.min() < 0 or idx.max() >= rows):
-        raise DataError(f"gather_rows index out of range for table with {rows} rows")
+    if idx.size and (idx.min() < 0 or idx.max() >= len(table.data)):
+        raise DataError(f"gather_rows index out of range for table with {len(table.data)} rows")
     out = np.take(table.data, idx, axis=0)
 
     def grad_fn(g):
-        flat = idx.reshape(-1)
-        g = g.reshape(len(flat), *table.data.shape[1:])
         dt = np.zeros_like(table.data)
-        order, ids, starts = _sorted_runs(flat, rows)
-        dt[ids] = _run_sums(np.take(g, order, axis=0), starts)
+        # flat: np.add.at is several times slower through a multi-axis index
+        np.add.at(dt, idx.reshape(-1), g.reshape(idx.size, *table.data.shape[1:]))
         return (dt,)
 
     return _node(out, (table,), grad_fn)
@@ -463,46 +452,56 @@ def gather_mix(weights: Tensor, values: Tensor, index) -> Tensor:
     return _node(out, (weights, values), grad_fn)
 
 
-def cosine_similarity(a: Tensor, b: Tensor) -> Tensor:
-    """Cosine of the angle between vectors along the last axis.
-
-    Accepts ``[..., d] x [..., d] -> [...]``; ``[d] x [d]`` gives a scalar. Norms
-    below 1e-12 are clamped (and counted) so degenerate embeddings do not
-    produce NaN.
-    """
-    global _degenerate_norms
-    a, b = as_tensor(a), as_tensor(b)
-    if a.shape != b.shape or a.ndim < 1:
-        raise ConfigError(f"cosine_similarity shape mismatch: {a.shape} vs {b.shape}")
-    av = a.data.reshape(-1, a.shape[-1])
-    bv = b.data.reshape(-1, b.shape[-1])
-    dot = (av * bv).sum(axis=1)
-    na = np.sqrt((av * av).sum(axis=1))
-    nb = np.sqrt((bv * bv).sum(axis=1))
-    if not (np.all(np.isfinite(na)) and np.all(np.isfinite(nb))):
-        raise NumericsError("embedding norm overflow in cosine_similarity")
-    clamped_a = na < NORM_EPS
-    clamped_b = nb < NORM_EPS
-    n_clamped = int(clamped_a.sum() + clamped_b.sum())
-    if n_clamped:
-        _degenerate_norms += n_clamped
-    na_c = np.maximum(na, NORM_EPS)
-    nb_c = np.maximum(nb, NORM_EPS)
-    denom = na_c * nb_c
-    cos = np.clip(dot / denom, -1.0, 1.0)
-    out = cos.reshape(a.shape[:-1])
+def mix(weights: Tensor, values: Tensor) -> Tensor:
+    """``out[n, b] = sum_k weights[n, b, k] * values[k, b]`` for ``weights [n, B, k]`` and
+    ``values [k, B, e]``: every product, then their sum over ``k``. The gradient is
+    two batched matmuls over ``B``."""
+    weights, values = as_tensor(weights), as_tensor(values)
+    if (weights.ndim != 3 or values.ndim != 3
+            or weights.shape[1:] != (values.shape[1], values.shape[0])):
+        raise ConfigError(f"mix shape mismatch: weights {weights.shape}, values {values.shape}")
+    out = (values.data * np.swapaxes(weights.data, 1, 2)[..., None]).sum(axis=1)
 
     def grad_fn(g):
-        gv = g.reshape(-1, 1)
-        cosv = (dot / denom).reshape(-1, 1)
-        da = gv * (bv / denom.reshape(-1, 1))
-        db = gv * (av / denom.reshape(-1, 1))
-        # the norm term vanishes where the clamp is active (denominator constant)
-        da -= gv * cosv * av / (na_c * na_c).reshape(-1, 1) * (~clamped_a).reshape(-1, 1)
-        db -= gv * cosv * bv / (nb_c * nb_c).reshape(-1, 1) * (~clamped_b).reshape(-1, 1)
-        return da.reshape(a.shape), db.reshape(b.shape)
+        gb = np.swapaxes(g, 0, 1)  # [B, n, e]
+        return (np.swapaxes(gb @ values.data.transpose(1, 2, 0), 0, 1)
+                if weights.requires_grad else None,
+                np.swapaxes(_matmul_values(weights.data.transpose(1, 2, 0), gb), 0, 1)
+                if values.requires_grad else None)
 
-    return _node(out, (a, b), grad_fn)
+    return _node(out, (weights, values), grad_fn)
+
+
+def cosine_score(a: Tensor, b: Tensor, tau: Tensor) -> Tensor:
+    """``sigmoid(tau[:, None] * cos(a, b))``: scores ``[n, B]`` of the pairs ``a, b [n, B, d]``,
+    row ``n`` at temperature ``tau [n]``. Norms below ``NORM_EPS`` are clamped (and counted)
+    so degenerate embeddings do not produce NaN; the cosine is clipped to [-1, 1]."""
+    global _degenerate_norms
+    a, b, tau = as_tensor(a), as_tensor(b), as_tensor(tau)
+    if a.shape != b.shape or a.ndim != 3 or tau.shape != a.shape[:1]:
+        raise ConfigError(f"cosine_score shape mismatch: {a.shape}, {b.shape}, tau {tau.shape}")
+    av, bv = a.data.reshape(-1, a.shape[-1]), b.data.reshape(-1, b.shape[-1])
+    dot = (av * bv).sum(axis=1)
+    na, nb = np.sqrt((av * av).sum(axis=1)), np.sqrt((bv * bv).sum(axis=1))
+    if not (np.isfinite(na).all() and np.isfinite(nb).all()):
+        raise NumericsError("embedding norm overflow in cosine_score")
+    _degenerate_norms += int((na < NORM_EPS).sum() + (nb < NORM_EPS).sum())
+    na_c, nb_c = np.maximum(na, NORM_EPS), np.maximum(nb, NORM_EPS)
+    cos = np.clip(dot / (na_c * nb_c), -1.0, 1.0).reshape(a.shape[:-1])
+    taus = tau.data.reshape(-1, 1)
+    out = _sigmoid_values(cos * taus)
+
+    def grad_fn(g):
+        dz = g * out * (1.0 - out)
+        gdot = ((dz * taus).reshape(-1) / (na_c * nb_c))[:, None]
+        # d cos / d a = (b - dot / |a|^2 * a) / (|a| |b|); a clamped norm is a
+        # constant, so its term drops out
+        da = gdot * (bv - (dot / np.where(na < NORM_EPS, np.inf, na_c * na_c))[:, None] * av)
+        db = gdot * (av - (dot / np.where(nb < NORM_EPS, np.inf, nb_c * nb_c))[:, None] * bv)
+        return (da.reshape(a.shape), db.reshape(b.shape),
+                (dz * cos).sum(axis=1) if tau.requires_grad else None)
+
+    return _node(out, (a, b, tau), grad_fn)
 
 
 def attention_weights(q: Tensor, k: Tensor, mask: Tensor | None = None) -> Tensor:

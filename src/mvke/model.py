@@ -536,17 +536,7 @@ def vkg_combine(vke_outputs: Tensor, tag_embeddings: Tensor, params: dict[str, T
     unchanged so cached mixing stays lossless.
     """
     weights = gate_weights_for_tags(tag_embeddings, params, mask)
-    n, b, k = weights.shape
-    per_expert = dg.reshape(dg.transpose(weights), (n, k, b, 1))
-    return dg.reduce_sum(dg.mul(vke_outputs, per_expert), axis=1), weights
-
-
-def score_pair(user_embedding: Tensor, tag_embedding: Tensor,
-               params: dict[str, Tensor]) -> Tensor:
-    """Probabilities [n_tasks, B] = sigmoid(tau * cos(user, tag)); tau is learnable per task."""
-    cos = dg.cosine_similarity(user_embedding, tag_embedding)
-    tau = params["temperature"]
-    return dg.sigmoid(dg.mul(cos, dg.reshape(tau, (tau.shape[0], 1))))
+    return dg.mix(weights, vke_outputs), weights
 
 
 def mixture(batch: EncodedBatch, schema: FieldSchema, params: dict[str, Tensor],
@@ -557,7 +547,7 @@ def mixture(batch: EncodedBatch, schema: FieldSchema, params: dict[str, Tensor],
     experts = vke_forward(*embed_user_fields(batch, params, schema), params)
     tags = tag_tower(batch.tag_idx, batch.tag_weight, params)
     users, gates = vkg_combine(experts, tags, params, mask)
-    return score_pair(users, tags, params), gates
+    return dg.cosine_score(users, tags, params["temperature"]), gates
 
 
 def two_tower_user_embedding(batch: EncodedBatch, cfg: ModelConfig,
@@ -576,7 +566,8 @@ def two_tower_forward(batch: EncodedBatch, cfg: ModelConfig,
     """Baseline probabilities [B]: mean field embedding -> 2-layer MLP -> cosine score."""
     user_emb = two_tower_user_embedding(batch, cfg, params)
     tag_emb = tag_tower(batch.tag_idx, batch.tag_weight, params)
-    probs = score_pair(dg.reshape(user_emb, (1, *user_emb.shape)), tag_emb, params)
+    probs = dg.cosine_score(dg.reshape(user_emb, (1, *user_emb.shape)), tag_emb,
+                            params["temperature"])
     return dg.reshape(probs, (batch.size,))
 
 

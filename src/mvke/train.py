@@ -62,8 +62,9 @@ def mtl_loss(batch: EncodedBatch, cfg: ModelConfig, params: dict[str, Tensor],
         cfg.routing.check_multi_task()
     tasks = mode_tasks(mode)
     probs, _ = mixture(batch, cfg.schema, params, cfg.routing)
-    return dg.bce_loss(dg.gather_rows(probs, [TASKS.index(task) for task in tasks]),
-                       np.stack([batch.label(task) for task in tasks]))
+    if tasks != TASKS:
+        probs = dg.gather_rows(probs, [TASKS.index(task) for task in tasks])
+    return dg.bce_loss(probs, np.stack([batch.label(task) for task in tasks]))
 
 
 class Adam:

@@ -105,17 +105,21 @@ def test_criterion_1_gradient_correctness():
         y = dg.Tensor(rng.normal(size=5), requires_grad=True)
         logits = dg.Tensor(rng.normal(size=6), requires_grad=True)
         labels = (rng.random(6) < 0.5).astype(float)
+        tau = dg.Tensor(rng.normal(size=1), requires_grad=True)
+        score = lambda p, q: dg.cosine_score(dg.reshape(p, (1, -1, p.shape[-1])),
+                                             dg.reshape(q, (1, -1, q.shape[-1])), tau)
         primitive_cases = [
             (lambda: dg.reduce_sum(dg.tanh(dg.matmul(a, b))), {"a": a, "b": b}),
-            (lambda: dg.reduce_sum(dg.sigmoid(dg.add(a, v))), {"a": a, "v": v}),
+            (lambda: dg.reduce_sum(score(dg.add(a, v), v)), {"a": a, "v": v, "tau": tau}),
             (lambda: dg.reduce_sum(dg.mul(dg.softmax(a, axis=-1), v)), {"a": a}),
             (lambda: dg.reduce_sum(dg.relu(dg.gather_rows(a, np.array([0, 2, 1])))),
              {"a": a}),
             (lambda: dg.reduce_sum(dg.tanh(dg.gather_mix(
                 dg.reshape(a, (1, 3, 4)), dg.reshape(v, (1, 3, 4)),
                 np.array([[1, 1, 0, 2], [0, 2, 2, 1], [2, 1, 0, 0]])))), {"a": a, "v": v}),
-            (lambda: dg.cosine_similarity(x, y), {"x": x, "y": y}),
-            (lambda: dg.bce_loss(dg.sigmoid(logits), labels), {"logits": logits}),
+            (lambda: dg.reduce_sum(score(x, y)), {"x": x, "y": y, "tau": tau}),
+            (lambda: dg.bce_loss(score(dg.reshape(logits, (2, 3)), labels.reshape(2, 3) - 0.5),
+                                 labels[None, :2]), {"logits": logits, "tau": tau}),
             (lambda: dg.reduce_sum(dg.matmul(dg.attention_weights(dg.tanh(a), dg.tanh(v)),
                                              dg.tanh(v))), {"a": a, "v": v}),
         ]

@@ -18,6 +18,7 @@ SEARCHED = LIBRARY + sorted((ROOT / "perfbench").glob("*.py"))
 UNCALLED = {
     "grad_check": "the engine's finite-difference checker: acceptance criterion 1 and the "
                   "per-primitive gradient tests run it",
+    "reduce_sum": "tests reduce a graph to a scalar loss with it",
     "degenerate_norm_count": "a run's per-epoch events are to report it (ROADMAP item 1)",
     "reset_degenerate_norm_count": "a run's per-epoch events are to report it (ROADMAP item 1)",
 }

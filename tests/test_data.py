@@ -1,13 +1,14 @@
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 import mvke.data as D
 from mvke.errors import ConfigError, DataError
-from mvke.model import Task
+from mvke.model import TASKS, Task
 
 
 SMALL = dict(n_users=400, n_tags=30, n_ads=150, n_impressions=6000,
@@ -310,6 +311,19 @@ def test_bayes_auc_uniform_truth_is_half():
         if 0 < sum(labels) < len(labels):
             break
     assert D.bayes_auc(truth, examples, Task.CTR) == 0.5
+
+
+@pytest.mark.parametrize("user, tag, message", [
+    (500, 3, "row 1: user id 500 is outside the truth of 50 users and 10 tags"),
+    (-1, 3, "row 1: user id -1 is outside the truth of 50 users and 10 tags"),
+    (7, 40, "row 1: tag id 40 is outside the truth of 50 users and 10 tags"),
+], ids=["user-500", "user-minus-1", "tag-40"])
+def test_truth_refuses_a_row_outside_it(user, tag, message):
+    truth = _tiny_truth(n_users=50, n_tags=10)
+    examples = [D.Example(0, (0,), (1,), 1, 0), D.Example(user, (0,), (2, tag), 0, 0)]
+    for task in TASKS:
+        with pytest.raises(DataError, match=re.escape(message)):
+            D.bayes_auc(truth, examples, task)
 
 
 def test_bayes_auc_reference_pinned(small_gen):

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import json
 import math
 import zlib
@@ -151,26 +153,34 @@ def test_attention_output_in_convex_hull_of_values():
 
 
 # ---------------------------------------------------------------------------
-# cosine
+# cosine score: sigmoid(tau * cos)
+
+
+def score(a, b, tau=1.0):
+    """``cosine_score`` of one pair of vectors (or rows) as a ``[1, B]`` batch."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    shape = (1, -1, a.shape[-1])
+    return dg.cosine_score(t(a.reshape(shape)), t(b.reshape(shape)), t([tau]))
+
 
 def test_cosine_identical_vectors():
-    a = t([0.3, -2.0, 1.5])
-    assert dg.cosine_similarity(a, t([0.3, -2.0, 1.5])).item() == pytest.approx(1.0, abs=1e-12)
+    a = [0.3, -2.0, 1.5]
+    assert score(a, [0.3, -2.0, 1.5]).item() == pytest.approx(dg._sigmoid_scalar(1.0), abs=1e-12)
 
 
 def test_cosine_orthogonal_vectors():
-    assert dg.cosine_similarity(t([1.0, 0.0]), t([0.0, 2.0])).item() == pytest.approx(0.0, abs=1e-15)
+    assert score([1.0, 0.0], [0.0, 2.0], tau=7.0).item() == pytest.approx(0.5, abs=1e-15)
 
 
 def test_cosine_matches_scalar_oracle():
     # frozen from a 40-digit dot/(|a||b|) oracle
-    got = dg.cosine_similarity(t([1.0, 2.0]), t([3.0, 4.0])).item()
-    assert got == pytest.approx(0.9838699100999074, abs=1e-12)
+    got = score([1.0, 2.0], [3.0, 4.0], tau=2.0).item()
+    assert got == pytest.approx(dg._sigmoid_scalar(2.0 * 0.9838699100999074), abs=1e-12)
 
 
 def test_cosine_degenerate_norm_clamps_and_counts():
     dg.reset_degenerate_norm_count()
-    out = dg.cosine_similarity(t([0.0, 0.0]), t([1.0, 1.0]))
+    out = score([0.0, 0.0], [1.0, 1.0])
     assert np.isfinite(out.data)
     assert dg.degenerate_norm_count() == 1
     dg.reset_degenerate_norm_count()
@@ -179,8 +189,33 @@ def test_cosine_degenerate_norm_clamps_and_counts():
 def test_cosine_rowwise():
     a = np.array([[1.0, 0.0], [1.0, 2.0]])
     b = np.array([[0.0, 1.0], [3.0, 4.0]])
-    out = dg.cosine_similarity(t(a), t(b))
-    np.testing.assert_allclose(out.data, [0.0, 0.9838699100999074], atol=1e-12)
+    out = score(a, b)
+    np.testing.assert_allclose(out.data, [[0.5, dg._sigmoid_scalar(0.9838699100999074)]],
+                               atol=1e-12)
+
+
+def test_cosine_score_scales_each_row_by_its_temperature():
+    rng = np.random.default_rng(8)
+    a, b = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 3, 4))
+    cos = (a * b).sum(-1) / (np.linalg.norm(a, axis=-1) * np.linalg.norm(b, axis=-1))
+    out = dg.cosine_score(t(a), t(b), t([2.0, -5.0]))
+    np.testing.assert_allclose(out.data, 1.0 / (1.0 + np.exp(-np.array([[2.0], [-5.0]]) * cos)),
+                               rtol=1e-12)
+    with pytest.raises(ConfigError, match="cosine_score"):
+        dg.cosine_score(t(a), t(b), t([2.0]))
+
+
+# ---------------------------------------------------------------------------
+# mix
+
+
+def test_mix_is_the_weighted_sum_over_the_expert_axis():
+    rng = np.random.default_rng(9)
+    w, e = rng.random((2, 3, 4)), rng.normal(size=(4, 3, 5))
+    out = dg.mix(t(w), t(e))
+    np.testing.assert_allclose(out.data, np.einsum("nbk,kbe->nbe", w, e), rtol=1e-12)
+    with pytest.raises(ConfigError, match="mix"):
+        dg.mix(t(w), t(e[:3]))
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +302,8 @@ def test_backward_sum_gives_ones():
 
 
 def test_backward_sigmoid_at_zero():
-    x = t([0.0], rg=True)
-    dg.backward(dg.reduce_sum(dg.sigmoid(x)))
+    x = t([0.0], rg=True)  # the temperature of a pair with cosine 1
+    dg.backward(dg.reduce_sum(dg.cosine_score(t([[[1.0, 2.0]]]), t([[[1.0, 2.0]]]), x)))
     np.testing.assert_allclose(x.grad, [0.25], atol=1e-15)
 
 
@@ -335,6 +370,7 @@ PRIMITIVE_CASES = [
     "softmax", "gather", "cosine", "bce", "attention",
     "matmul_batched", "matmul_broadcast", "transpose_last_two", "gather_3d",
     "attention_batched", "affine", "affine_stacked", "gather_repeated", "gather_mix",
+    "cosine_clamped", "mix", "mix_zero_weights",
 ]
 
 
@@ -355,7 +391,7 @@ def test_grad_check_per_primitive(case):
     elif case == "mul":
         f = lambda: dg.reduce_sum(dg.mul(a, v))
         params = {"a": a, "v": v}
-    elif case in ("tanh", "relu", "sigmoid"):
+    elif case in ("tanh", "relu"):
         op = getattr(dg, case)
         f = lambda: dg.reduce_sum(dg.mul(op(a), op(a)))
         params = {"a": a}
@@ -368,16 +404,34 @@ def test_grad_check_per_primitive(case):
         f = lambda: dg.add(dg.reduce_sum(dg.tanh(dg.gather_rows(a, idx))),
                            dg.reduce_sum(dg.tanh(dg.gather_rows(flat, idx))))
         params = {"a": a, "flat": flat}
+    elif case == "sigmoid":
+        # the score node's sigmoid: its temperatures alone, at fixed cosines
+        tau = t(rng.normal(size=3) * 2.0, rg=True)
+        f = lambda: dg.reduce_sum(dg.mul(dg.cosine_score(a.data[:, None], v.data[:, None], tau),
+                                         dg.cosine_score(a.data[:, None], b.data.T[:, None], tau)))
+        params = {"tau": tau}
     elif case == "cosine":
         x = t(rng.normal(size=5), rg=True)
         y = t(rng.normal(size=5), rg=True)
-        f = lambda: dg.cosine_similarity(x, y)
-        params = {"x": x, "y": y}
+        tau = t([1.5], rg=True)
+        f = lambda: dg.reduce_sum(dg.cosine_score(dg.reshape(x, (1, 1, 5)),
+                                                  dg.reshape(y, (1, 1, 5)), tau))
+        params = {"x": x, "y": y, "tau": tau}
+    elif case == "cosine_clamped":
+        # pairs whose first vector is zero or below NORM_EPS, so its norm is clamped;
+        # those vectors are constants, since a finite difference would lift them past it
+        x = t(np.stack([rng.normal(size=4), np.zeros(4), 1e-14 * rng.normal(size=4)])[None])
+        y = t(rng.normal(size=(1, 3, 4)), rg=True)
+        tau = t([3.0], rg=True)
+        f = lambda: dg.reduce_sum(dg.cosine_score(x, y, tau))
+        params = {"y": y, "tau": tau}
     elif case == "bce":
-        logits = t(rng.normal(size=6), rg=True)
-        labels = (rng.random(6) < 0.5).astype(float)
-        f = lambda: dg.bce_loss(dg.sigmoid(logits), labels)
-        params = {"logits": logits}
+        x = t(rng.normal(size=(2, 3, 4)), rg=True)
+        y = t(rng.normal(size=(2, 3, 4)), rg=True)
+        tau = t([2.0, -1.0], rg=True)
+        labels = (rng.random((2, 3)) < 0.5).astype(float)
+        f = lambda: dg.bce_loss(dg.cosine_score(x, y, tau), labels)
+        params = {"x": x, "y": y, "tau": tau}
     elif case == "attention":
         q = t(rng.normal(size=(2, 4)), rg=True)
         k = t(rng.normal(size=(5, 4)), rg=True)
@@ -430,8 +484,55 @@ def test_grad_check_per_primitive(case):
         idx = np.array([[1, 1], [0, 3], [3, 1]])
         f = lambda: dg.reduce_sum(dg.tanh(dg.gather_mix(w, x, idx)))
         params = {"w": w, "x": x}
+    elif case == "mix":
+        w = t(rng.random((2, 3, 4)), rg=True)
+        x = t(rng.normal(size=(4, 3, 5)), rg=True)
+        f = lambda: dg.reduce_sum(dg.tanh(dg.mix(w, x)))
+        params = {"w": w, "x": x}
+    elif case == "mix_zero_weights":
+        # gate weights as in the model: a softmax whose -inf mask gives exact zeros
+        logits = t(rng.normal(size=(2, 3, 4)), rg=True)
+        routed = np.array([[[1, 1, 0, 1]], [[0, 1, 1, 1]]]) == 1
+        mask = dg.raw_tensor(np.where(routed, 0.0, -np.inf))
+        x = t(rng.normal(size=(4, 3, 5)), rg=True)
+        f = lambda: dg.reduce_sum(dg.tanh(dg.mix(dg.softmax(dg.add(logits, mask)), x)))
+        params = {"logits": logits, "x": x}
 
     assert dg.grad_check(f, params) <= 1e-5
+
+
+def _node_recorders() -> list[str]:
+    """Names of the ``diffgraph`` functions that record a graph node (call ``_node``)."""
+    return sorted(f.name for f in ast.parse(inspect.getsource(dg)).body
+                  if isinstance(f, ast.FunctionDef) and f.name != "_node"
+                  and any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_node"
+                          for n in ast.walk(f)))
+
+
+def test_every_graph_node_has_a_primitive_grad_check(monkeypatch):
+    called = set()
+
+    def recording(name, fn):
+        def wrapper(*args, **kwargs):
+            called.add(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    names = _node_recorders()
+    assert {"add", "mix", "cosine_score", "bce_loss"} <= set(names)
+    for name in names:
+        monkeypatch.setattr(dg, name, recording(name, getattr(dg, name)))
+    for case in PRIMITIVE_CASES:
+        test_grad_check_per_primitive(case)
+    assert not set(names) - called, f"no PRIMITIVE_CASES case calls {sorted(set(names) - called)}"
+
+
+def test_add_returns_no_gradient_for_a_constant_operand():
+    x = t([[0.5, -1.0]], rg=True)
+    mask = dg.raw_tensor(np.array([[0.0, -np.inf]]))
+    out = dg.add(x, mask)
+    assert out._grad_fn(np.ones((1, 2)))[1] is None
+    assert dg.add(mask, x)._grad_fn(np.ones((1, 2)))[0] is None
 
 
 def test_batched_ops_match_per_slice_loops():

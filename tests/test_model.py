@@ -532,7 +532,7 @@ def test_vkg_gate_weights_are_probabilities(small_cfg):
 def test_score_identical_embeddings(small_cfg):
     params = make_params(small_cfg)  # tau initialized to 5.0
     v = dg.Tensor(np.array([[[0.3, -1.0, 0.2, 0.9, 0.1, -0.4, 0.8, 0.5]]] * 2))
-    p = M.score_pair(v, v, params)
+    p = dg.cosine_score(v, v, params["temperature"])
     np.testing.assert_allclose(p.data, 0.9933071490757152, atol=1e-9)
 
 
@@ -540,7 +540,7 @@ def test_score_orthogonal_embeddings(small_cfg):
     params = make_params(small_cfg)
     a = dg.Tensor(np.array([[[1.0] + [0.0] * 7]] * 2))
     b = dg.Tensor(np.array([[[0.0, 1.0] + [0.0] * 6]] * 2))
-    np.testing.assert_allclose(M.score_pair(a, b, params).data, 0.5, atol=1e-12)
+    np.testing.assert_allclose(dg.cosine_score(a, b, params["temperature"]).data, 0.5, atol=1e-12)
 
 
 def test_score_tau_one_opposite_embeddings(small_cfg):
@@ -548,7 +548,7 @@ def test_score_tau_one_opposite_embeddings(small_cfg):
     params["temperature"].data[0] = 1.0  # ctr
     a = dg.Tensor(np.array([[[1.0] + [0.0] * 7]] * 2))
     b = dg.Tensor(np.array([[[-1.0] + [0.0] * 7]] * 2))
-    p = M.score_pair(a, b, params).data
+    p = dg.cosine_score(a, b, params["temperature"]).data
     assert p[0, 0] == pytest.approx(0.2689414213699951, abs=1e-12)
     assert p[1, 0] == pytest.approx(1.0 / (1.0 + math.exp(5.0)), abs=1e-12)
 
@@ -739,7 +739,7 @@ def test_single_expert_loss_gradient_check(small_cfg, small_batch_examples):
         out = dg.add(dg.mul(dg.reduce_sum(M.vke_forward(rows, inverse, params), axis=0), 1.0 / k),
                      both_tasks)
         tags = M.tag_tower(batch.tag_idx, batch.tag_weight, params)
-        probs = M.score_pair(out, tags, params)
+        probs = dg.cosine_score(out, tags, params["temperature"])
         return dg.bce_loss(dg.gather_rows(probs, 0), batch.clicks)
 
     subset = {name: params[name] for name in

@@ -178,13 +178,13 @@ def test_single_expert_task_reduces_to_cosine():
 
 @pytest.mark.parametrize("user_norm", [0.0, 1e-7])
 def test_cached_scores_clamp_each_norm_like_the_forward(user_norm):
-    """Tiny and zero norms score as ``cosine_similarity`` -> tau -> sigmoid does."""
+    """Tiny and zero norms score as ``cosine_score`` does."""
     direction = np.full(4, 0.5)
     user = user_norm * direction
     tags = np.stack([1e-7 * direction, direction, np.zeros(4)])
     tau = 5.0
-    cos = dg.cosine_similarity(dg.raw_tensor(np.tile(user, (3, 1))), dg.raw_tensor(tags))
-    want = dg.sigmoid(dg.mul(cos, dg.raw_tensor(np.array(tau)))).data
+    want = dg.cosine_score(dg.raw_tensor(np.tile(user, (1, 3, 1))), dg.raw_tensor(tags[None]),
+                           dg.raw_tensor(np.array([tau]))).data[0]
     tc = S.TaskTagCache(Task.CTR, [0, 1, 2], tags, np.ones((3, 1)), expert_ids=(0,), tau=tau)
     caches = (S.UserCache([5], user.reshape(1, 1, 4)), S.TagCache({Task.CTR: tc}))
     looked_up = [S.score_from_cache(5, tag, Task.CTR, caches) for tag in (0, 1, 2)]
