@@ -17,13 +17,14 @@ import json
 import logging
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import data as data_mod
 from . import diffgraph as dg
 from . import evaluation as eval_mod
 from . import serve as serve_mod
-from .errors import ConfigError, DataError, MvkeError, NumericsError
+from .errors import ConfigError, DataError, MvkeError, NumericsError, UndefinedMetricError
 from .model import (ModelConfig, MvkeModel, Task, TwoTowerModel, _float, _int, _ints, _read,
                     five_expert_routing, load_model, save_model, split_routing)
 from .train import TrainConfig, fit, sensitivity_sweep
@@ -189,12 +190,25 @@ def _prepare_out(resolved: dict, out_dir: str) -> Path:
     return out
 
 
+def _split_path(args, split: str) -> Path:
+    return Path(args.data) / f"{split}.jsonl"
+
+
 def _read_split(args, split: str) -> list:
     """The rows of ``<--data>/<split>.jsonl``; DataError naming the file if it is missing."""
-    path = Path(args.data) / f"{split}.jsonl"
+    path = _split_path(args, split)
     if not path.exists():
         raise DataError(f"no {path.name} under {path.parent}")
     return data_mod.read_dataset(path)
+
+
+@contextmanager
+def _auc_split(args, split: str):
+    """Name ``<split>.jsonl`` in an undefined AUC: a task whose labels there are all one value."""
+    try:
+        yield
+    except UndefinedMetricError as e:
+        raise DataError(f"{_split_path(args, split)}: {e}") from e
 
 
 def _load_mixture(args) -> MvkeModel:
@@ -240,7 +254,8 @@ def cmd_train(args, resolved: dict, out: Path) -> int:
         tcfg = train_config(resolved)
         log.info("training %s in mode %s for %d epochs", model.kind,
                  resolved["mode"], tcfg.epochs)
-        _, history = fit(model, train_ds, test_ds, tcfg)
+        with _auc_split(args, "test"):
+            _, history = fit(model, train_ds, test_ds, tcfg)
     save_model(model, out / "checkpoint")
     eval_mod.write_csv(history, out / "history.csv")
     log.info("saved checkpoint and history")
@@ -250,8 +265,9 @@ def cmd_train(args, resolved: dict, out: Path) -> int:
 def cmd_eval(args, resolved: dict, out: Path) -> int:
     test_ds = _read_split(args, "test")
     model = load_model(args.ckpt)
-    report = eval_mod.evaluate(model, test_ds, model_id=resolved["mode"],
-                               seed=resolved["seed"])
+    with _auc_split(args, "test"):
+        report = eval_mod.evaluate(model, test_ds, model_id=resolved["mode"],
+                                   seed=resolved["seed"])
     eval_mod.write_csv(report.rows(), out / "report.csv")
     log.info("report: %s", report.aucs)
     return 0
@@ -260,7 +276,7 @@ def cmd_eval(args, resolved: dict, out: Path) -> int:
 def cmd_sweep(args, resolved: dict, out: Path) -> int:
     counts = _field(resolved, "eval", "sweep_counts", _ints)
     train_ds, test_ds = _read_split(args, "train"), _read_split(args, "test")
-    with dg.precision(resolved["precision"]):
+    with dg.precision(resolved["precision"]), _auc_split(args, "test"):
         rows = sensitivity_sweep(counts, train_ds, test_ds, model_config(resolved),
                                  train_config(resolved), seed=resolved["seed"] + 1)
     eval_mod.write_csv(rows, out / "sweep.csv")

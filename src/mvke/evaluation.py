@@ -46,6 +46,17 @@ def auc(scores, labels) -> float:
     return (double_rank_sum - n_pos * (n_pos + 1)) / (2 * n_pos * n_neg)
 
 
+def require_both_labels(batch: EncodedBatch, tasks: Sequence[Task], split: str) -> None:
+    """UndefinedMetricError naming ``split`` and the task if, for any of ``tasks``,
+    every row of ``batch`` has the same label: that task's AUC is undefined."""
+    for task in tasks:
+        n_pos = int(batch.label(task).sum())
+        if n_pos in (0, batch.size):
+            raise UndefinedMetricError(
+                f"{split}: {task.value} labels are all {int(n_pos > 0)} in its {batch.size} rows, "
+                f"and auc needs at least one positive and one negative")
+
+
 @dataclass
 class EvalReport:
     model_id: str
@@ -81,6 +92,7 @@ def evaluate(model, dataset: Sequence, model_id: str | None = None,
     """
     with prefix_data_errors("evaluation split"):
         batch = encode_examples(dataset, model.cfg.schema)
+    require_both_labels(batch, model.tasks, "evaluation split")
     aucs, counts, positives = {}, {}, {}
     for task in model.tasks:
         scores = predict_dataset(model, batch, task)

@@ -10,7 +10,7 @@ import numpy as np
 from . import diffgraph as dg
 from .diffgraph import Tensor
 from .errors import ConfigError, NumericsError, TrainingDivergenceError, prefix_data_errors
-from .evaluation import auc, evaluate, predict_dataset
+from .evaluation import auc, evaluate, predict_dataset, require_both_labels
 from .model import (EncodedBatch, ModelConfig, MvkeModel, Task, TASKS, encode_examples, mixture,
                     split_routing, two_tower_forward)
 
@@ -39,6 +39,10 @@ class TrainConfig:
         # Adam divides by sqrt(v) + eps, and v is 0 wherever no gradient arrived yet
         if not self.eps > 0:
             raise ConfigError("eps must be > 0")
+        # 1 freezes a moment at 0 and divides by 1 - beta**t = 0; a negative beta flips its sign
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)!r}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
 
@@ -146,13 +150,16 @@ def fit(model, train_ds: Sequence, valid_ds: Sequence,
     Returns (best params, history rows). The model is left holding the
     best parameters; selection is by mean validation AUC over the trained
     tasks, earliest epoch winning ties. Aborts with epoch and batch index
-    if the loss goes non-finite.
+    if the loss goes non-finite. Before the first step, refuses
+    (UndefinedMetricError) a validation split on which a trained task has
+    one label value, since its AUC is undefined.
     """
     tasks = mode_tasks(cfg.mode) if model.kind == "mvke" else model.tasks
     with prefix_data_errors("training split"):
         train_batch = encode_examples(train_ds, model.cfg.schema)
     with prefix_data_errors("validation split"):
         valid_batch = encode_examples(valid_ds, model.cfg.schema)
+    require_both_labels(valid_batch, tasks, "validation split")
     optimizer = Adam(model.params, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)
     rng = np.random.default_rng(cfg.seed)
 

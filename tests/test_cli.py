@@ -511,6 +511,25 @@ def test_a_label_of_2_is_a_data_error_naming_the_file_and_line(pipeline, tmp_pat
     assert "test.jsonl: malformed dataset line 4: labels must be 0/1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_a_test_split_without_conversions_is_a_data_error_naming_the_file_and_task(
+        pipeline, tmp_path, capsys, command):
+    _, cfg, data_dir, train_dir = pipeline
+    bad = tmp_path / "data"
+    shutil.copytree(data_dir, bad)
+    lines = (bad / "test.jsonl").read_text().splitlines()
+    (bad / "test.jsonl").write_text(
+        "".join(json.dumps({**json.loads(line), "conv": 0}) + "\n" for line in lines))
+    capsys.readouterr()
+    ckpt = ["--ckpt", str(train_dir / "checkpoint")] if command == "eval" else []
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--data", str(bad), *ckpt, "--out", str(out)]) == 2
+    split = "validation split" if command == "train" else "evaluation split"
+    assert (f"{bad / 'test.jsonl'}: {split}: cvr labels are all 0 in its {len(lines)} rows"
+            in capsys.readouterr().err)
+    assert not (out / "checkpoint").exists() and not (out / "report.csv").exists()
+
+
 def test_unknown_mode_is_config_error(tmp_path):
     cfg = write_config(tmp_path, {"mode": "warp-drive"})
     code = main(["gen-data", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -553,6 +572,9 @@ def test_unknown_mode_is_config_error(tmp_path):
     ("gen-data --out config.json/o", {}, "--out config.json/o"),
     ("gen-data", {"data": {"n_tags": 2}}, "n_tags"),
     ("gen-data --seed -1", {}, "field 'seed'"),
+    ("train", {"train": {"beta1": 1.0}}, "beta1"),
+    ("train", {"train": {"beta2": 1.0}}, "beta2"),
+    ("train", {"train": {"beta1": -0.5}}, "beta1"),
 ])
 def test_bad_config_value_is_config_error(pipeline, tmp_path, capsys, monkeypatch,
                                           command, extra, field):

@@ -370,7 +370,7 @@ PRIMITIVE_CASES = [
     "softmax", "gather", "cosine", "bce", "attention",
     "matmul_batched", "matmul_broadcast", "transpose_last_two", "gather_3d",
     "attention_batched", "affine", "affine_stacked", "gather_repeated", "gather_mix",
-    "cosine_clamped", "mix", "mix_zero_weights",
+    "cosine_clamped", "mix", "mix_zero_weights", "gather_mix_sorted",
 ]
 
 
@@ -482,6 +482,14 @@ def test_grad_check_per_primitive(case):
         w = t(rng.normal(size=(2, 3, 2)), rg=True)
         x = t(rng.normal(size=(2, 4, 3)), rg=True)
         idx = np.array([[1, 1], [0, 3], [3, 1]])
+        f = lambda: dg.reduce_sum(dg.tanh(dg.gather_mix(w, x, idx)))
+        params = {"w": w, "x": x}
+    elif case == "gather_mix_sorted":
+        # e = 1 and ten rows used twice each: more shared rows than the dense block takes
+        w = t(rng.normal(size=(2, 10, 2)), rg=True)
+        x = t(rng.normal(size=(2, 12, 1)), rg=True)
+        idx = rng.permutation(np.repeat(np.arange(10), 2)).reshape(10, 2)
+        assert (np.bincount(idx.reshape(-1)) > 1).sum() > dg.SHARED_ROWS_PER_CELL * 2 * 1
         f = lambda: dg.reduce_sum(dg.tanh(dg.gather_mix(w, x, idx)))
         params = {"w": w, "x": x}
     elif case == "mix":
@@ -608,31 +616,60 @@ def test_identity_gather_passes_gradients_through_unchanged():
     np.testing.assert_array_equal(table.grad, weights)
 
 
+def _gather_mix_inputs(rng):
+    """(name, weights [k, B, m], values [k, rows, e], index [B, m], takes the sorted path)."""
+    # repeats within and across rows; 30.. never hit
+    yield ("repeats", rng.normal(size=(3, 50, 4)), rng.normal(size=(3, 40, 5)),
+           rng.integers(0, 30, size=(50, 4)), False)
+    # e = 1 and each of 40 rows used exactly twice: R = 40 > 4 * m * e = 8
+    yield ("many shared rows", rng.normal(size=(2, 40, 2)), rng.normal(size=(2, 45, 1)),
+           rng.permutation(np.repeat(np.arange(40), 2)).reshape(40, 2), True)
+    # every row used once: R = 0, no block
+    yield ("each row once", rng.normal(size=(3, 12, 3)), rng.normal(size=(3, 40, 4)),
+           rng.permutation(40)[:36].reshape(12, 3), False)
+    # padded bags as embed_user_fields builds them: id 0 repeated in one example at weight 0
+    idx = rng.integers(1, 20, size=(10, 3))
+    w = rng.normal(size=(1, 10, 3))
+    idx[::2, 1:], w[:, ::2, 1:] = 0, 0.0
+    yield "padding", w, rng.normal(size=(1, 20, 6)), idx, False
+
+
 @pytest.mark.parametrize("precision, dtype, rtol", [("f32", np.float32, 1e-5),
                                                     ("f64", np.float64, 1e-12)])
-def test_gather_mix_matches_loop_and_add_at_references(precision, dtype, rtol):
+def test_gather_mix_matches_loop_and_add_at_references(precision, dtype, rtol, monkeypatch):
+    """Both value-gradient paths: the dense block over the shared rows, and the sort
+    once those rows outnumber ``SHARED_ROWS_PER_CELL`` per index and value column."""
+    sorts = []
+    monkeypatch.setattr(dg, "_sorted_runs",
+                        lambda *args, run=dg._sorted_runs: sorts.append(1) or run(*args))
     rng = np.random.default_rng(26)
-    with dg.precision(precision):
-        w = dg.Tensor(rng.normal(size=(3, 50, 4)), requires_grad=True)
-        x = dg.Tensor(rng.normal(size=(3, 40, 5)), requires_grad=True)
-        idx = rng.integers(0, 30, size=(50, 4))  # repeats within and across rows; 30.. never hit
-        out = dg.gather_mix(w, x, idx)
-        g = rng.normal(size=out.shape).astype(dtype)
-        dw, dx = out._grad_fn(g)
-    expected = np.zeros(out.shape)
-    expected_dw = np.zeros(w.shape)
-    expected_dx = np.zeros(x.shape)
-    for e in range(3):
-        for b in range(50):
-            for j in range(4):
-                expected[e, b] += w.data[e, b, j] * x.data[e, idx[b, j]]
-                expected_dw[e, b, j] = g[e, b] @ x.data[e, idx[b, j]]
-        contributions = w.data[e][..., None] * g[e][:, None]  # [50, 4, 5]
-        np.add.at(expected_dx[e], idx.reshape(-1), contributions.reshape(-1, 5))
-    for got, want in ((out.data, expected), (dw, expected_dw), (dx, expected_dx)):
-        assert got.dtype == dtype
-        np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol)
-    assert np.all(dx[:, 30:] == 0.0)
+    for name, w_data, x_data, idx, sorted_path in _gather_mix_inputs(rng):
+        (k, n, m), (_, rows, e) = w_data.shape, x_data.shape
+        with dg.precision(precision):
+            w = dg.Tensor(w_data, requires_grad=True)
+            x = dg.Tensor(x_data, requires_grad=True)
+            out = dg.gather_mix(w, x, idx)
+            g = rng.normal(size=out.shape).astype(dtype)
+            sorts.clear()
+            dw, dx = out._grad_fn(g)
+        assert bool(sorts) == sorted_path, name
+        expected = np.zeros(out.shape)
+        expected_dw = np.zeros(w.shape)
+        expected_dx = np.zeros(x.shape)
+        for table in range(k):
+            for b in range(n):
+                for j in range(m):
+                    expected[table, b] += w.data[table, b, j] * x.data[table, idx[b, j]]
+                    expected_dw[table, b, j] = g[table, b] @ x.data[table, idx[b, j]]
+            contributions = w.data[table][..., None] * g[table][:, None]  # [B, m, e]
+            np.add.at(expected_dx[table], idx.reshape(-1), contributions.reshape(-1, e))
+        for got, want in ((out.data, expected), (dw, expected_dw), (dx, expected_dx)):
+            assert got.dtype == dtype, name
+            np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol, err_msg=name)
+        unused = np.setdiff1d(np.arange(rows), idx)
+        assert np.all(dx[:, unused] == 0.0), name
+        if name == "padding":
+            assert np.all(dx[:, 0] == 0.0)  # used only at weight 0
 
 
 def test_gather_mix_constant_weights_get_no_gradient():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,15 @@ def test_evaluate_counts(tiny_gen):
     assert report.n_examples[Task.CTR] == len(test)
     assert report.n_positive[Task.CTR] == sum(e.click_label for e in test)
     assert report.n_positive[Task.CVR] == sum(e.conversion_label for e in test)
+
+
+def test_evaluate_refuses_a_split_with_one_label_value_naming_it_and_the_task(tiny_gen):
+    _, test, _, mcfg = tiny_gen
+    model = M.MvkeModel(mcfg, seed=3)
+    no_conversions = [dataclasses.replace(ex, conversion_label=0) for ex in test]
+    with pytest.raises(UndefinedMetricError,
+                       match=f"evaluation split: cvr labels are all 0 in its {len(test)} rows"):
+        E.evaluate(model, no_conversions)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import mvke.data as D
 import mvke.diffgraph as dg
 import mvke.model as M
 import mvke.train as T
-from mvke.errors import ConfigError, NumericsError, TrainingDivergenceError
+from mvke.errors import ConfigError, DataError, NumericsError, TrainingDivergenceError
 from mvke.evaluation import evaluate
 from mvke.model import Task
 
@@ -37,6 +38,10 @@ def test_train_config_validation():
         T.TrainConfig(mode="both")
     with pytest.raises(ConfigError, match="eps"):
         T.TrainConfig(eps=0.0)
+    for name, value in (("beta1", 1.0), ("beta2", 1.0), ("beta1", -0.5), ("beta2", float("nan"))):
+        with pytest.raises(ConfigError, match=name):
+            T.TrainConfig(**{name: value})
+    T.TrainConfig(beta1=0.0, beta2=0.0)  # no momentum is still Adam
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +174,25 @@ def test_fit_zero_epochs_returns_initial_params(tiny_data):
     assert history == []
     for name, arr in init.items():
         np.testing.assert_array_equal(params[name].data, arr)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("conversion_label", 0, "validation split: cvr labels are all 0"),
+    ("click_label", 1, "validation split: ctr labels are all 1"),
+])
+def test_fit_refuses_a_validation_split_with_one_label_value_before_its_first_step(
+        tiny_data, field, value, message):
+    train, test, mcfg = tiny_data
+    valid = [dataclasses.replace(ex, **{field: value}) for ex in test]
+    model = M.MvkeModel(mcfg, seed=0)
+    init = {n: t.data.copy() for n, t in model.params.items()}
+    with pytest.raises(DataError, match=message):
+        T.fit(model, train, valid, T.TrainConfig(epochs=1))
+    for name, arr in init.items():
+        np.testing.assert_array_equal(model.params[name].data, arr)
+    # a fit that validates only the other task does not need both labels of this one
+    other = "ctr-only" if field == "conversion_label" else "cvr-only"
+    T.fit(M.MvkeModel(mcfg, seed=0), train[:256], valid, T.TrainConfig(epochs=1, mode=other))
 
 
 def test_fit_zero_learning_rate_keeps_params_and_baseline_auc(tiny_data):
