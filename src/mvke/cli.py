@@ -25,19 +25,19 @@ from . import diffgraph as dg
 from . import evaluation as eval_mod
 from . import serve as serve_mod
 from .errors import ConfigError, DataError, MvkeError, NumericsError, UndefinedMetricError
-from .model import (ModelConfig, MvkeModel, Task, TwoTowerModel, _float, _int, _ints, _read,
+from .model import (ModelConfig, MvkeModel, TwoTowerModel, _float, _int, _ints, _read,
                     five_expert_routing, load_model, save_model, split_routing)
-from .train import TrainConfig, fit, sensitivity_sweep
+from .train import TrainConfig, fit, mode_tasks, sensitivity_sweep
 
 log = logging.getLogger("mvke")
 
-# CLI mode -> (training mode, task of the two-tower baseline or None for the mixture)
+# CLI mode -> (model kind, training mode); the model has the training mode's tasks
 MODES = {
-    "noMTL-ctr": ("ctr-only", Task.CTR),
-    "noMTL-cvr": ("cvr-only", Task.CVR),
-    "mvke-st-ctr": ("ctr-only", None),
-    "mvke-st-cvr": ("cvr-only", None),
-    "mvke-mt": ("multi", None),
+    "noMTL-ctr": ("two_tower", "ctr-only"),
+    "noMTL-cvr": ("two_tower", "cvr-only"),
+    "mvke-st-ctr": ("mvke", "ctr-only"),
+    "mvke-st-cvr": ("mvke", "cvr-only"),
+    "mvke-mt": ("mvke", "multi"),
 }
 
 PRECISIONS = ("f32", "f64")
@@ -167,7 +167,7 @@ def model_config(resolved: dict) -> ModelConfig:
 
 def train_config(resolved: dict) -> TrainConfig:
     return _section(resolved, "train", TrainConfig, seed=resolved["seed"] + 2,
-                    mode=MODES[resolved["mode"]][0])
+                    mode=MODES[resolved["mode"]][1])
 
 
 def _prepare_out(resolved: dict, out_dir: str) -> Path:
@@ -238,13 +238,17 @@ def cmd_gen_data(args, resolved: dict, out: Path) -> int:
 
 def build_model(resolved: dict):
     cfg = model_config(resolved)
-    train_mode, baseline = MODES[resolved["mode"]]
-    seed = resolved["seed"] + 1
-    if baseline is not None:
-        return TwoTowerModel(cfg, baseline, seed=seed)
-    if train_mode == "multi":
-        cfg.routing.check_multi_task()
-    return MvkeModel(cfg, seed=seed)
+    kind, train_mode = MODES[resolved["mode"]]
+    tasks, seed = mode_tasks(train_mode), resolved["seed"] + 1
+    if kind == "two_tower":
+        return TwoTowerModel(cfg, *tasks, seed=seed)
+    return MvkeModel(cfg, seed=seed, tasks=tasks)
+
+
+def model_mode(model) -> str:
+    """The CLI mode that trains ``model``: the one of its kind and tasks."""
+    return next(mode for mode, (kind, train_mode) in MODES.items()
+                if kind == model.kind and mode_tasks(train_mode) == model.tasks)
 
 
 def cmd_train(args, resolved: dict, out: Path) -> int:
@@ -266,7 +270,7 @@ def cmd_eval(args, resolved: dict, out: Path) -> int:
     test_ds = _read_split(args, "test")
     model = load_model(args.ckpt)
     with _auc_split(args, "test"):
-        report = eval_mod.evaluate(model, test_ds, model_id=resolved["mode"],
+        report = eval_mod.evaluate(model, test_ds, model_id=model_mode(model),
                                    seed=resolved["seed"])
     eval_mod.write_csv(report.rows(), out / "report.csv")
     log.info("report: %s", report.aucs)
@@ -351,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     common(p, data=True, ckpt=True)
-    p.add_argument("--mode", choices=MODES, default=None)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep", help="train once per expert count")

@@ -596,14 +596,32 @@ def _task_view(params: dict[str, Tensor], routing: ExpertRouting,
     return {name: dg.raw_tensor(rows(name, t.data)) for name, t in params.items()}
 
 
+def _names(tasks: Sequence) -> list:
+    """The name of each of ``tasks``, a Task or a name."""
+    return [getattr(task, "value", task) for task in tasks]
+
+
+def check_task(task: Task, tasks: Sequence[Task], owner: str) -> None:
+    """ConfigError naming ``task``, ``owner`` and its ``tasks`` unless ``task`` is one of them."""
+    if task not in tasks:
+        raise ConfigError(f"{owner} has no {_names([task])[0]!r} task, only {_names(tasks)}")
+
+
 class MvkeModel:
-    """Mixture model wrapper: parameters, prediction, serving hooks."""
+    """Mixture model wrapper: parameters, prediction, serving hooks.
+
+    ``tasks``, a non-empty subsequence of ``TASKS``, are the tasks it is trained
+    on and serves. The parameters hold a slice of every task either way.
+    """
 
     kind = "mvke"
-    tasks = TASKS
 
     def __init__(self, cfg: ModelConfig, seed: int = 0,
-                 params: dict[str, Tensor] | None = None):
+                 params: dict[str, Tensor] | None = None, tasks: Sequence[Task] = TASKS):
+        self.tasks = tuple(task for task in TASKS if task in tasks)
+        if not tasks or list(tasks) != list(self.tasks):
+            raise ConfigError(f"tasks must be a non-empty subsequence of {_names(TASKS)}, "
+                              f"got {_names(tasks)}")
         self.cfg = cfg
         self.params = params if params is not None else init_mvke_params(cfg, seed)
         self.counters = {"user_tower": 0, "tag_tower": 0}
@@ -613,6 +631,7 @@ class MvkeModel:
 
     def predict(self, batch: EncodedBatch, task: Task) -> np.ndarray:
         """``task``'s probabilities [B]; only the task's experts run."""
+        check_task(task, self.tasks, "this mixture")
         self.counters["user_tower"] += batch.size
         self.counters["tag_tower"] += batch.size
         probs, _ = mixture(batch, self.cfg.schema, _task_view(self.params, self.cfg.routing, task))
@@ -627,6 +646,7 @@ class MvkeModel:
 
     def tag_side(self, task: Task, tag_ids: Sequence[int]) -> tuple[np.ndarray, np.ndarray, float]:
         """Per-tag embeddings [T, d] and gate weights [T, n_task], plus tau."""
+        check_task(task, self.tasks, "this mixture")
         self.counters["tag_tower"] += len(tag_ids)
         idx = np.array([int(t) for t in tag_ids], dtype=np.int64).reshape(-1, 1)
         params = _task_view(self.params, self.cfg.routing, task)
@@ -645,13 +665,11 @@ class TwoTowerModel:
     def __init__(self, cfg: ModelConfig, task: Task, seed: int = 0,
                  params: dict[str, Tensor] | None = None):
         self.cfg = cfg
-        self.task = task
         self.tasks = (task,)
         self.params = params if params is not None else init_two_tower_params(cfg, seed)
 
     def predict(self, batch: EncodedBatch, task: Task) -> np.ndarray:
-        if task != self.task:
-            raise ConfigError(f"baseline model only serves task {self.task.value}")
+        check_task(task, self.tasks, "this baseline")
         out = two_tower_forward(batch, self.cfg, _frozen(self.params))
         return dg.require_finite(out.data, f"{task.value} predictions")
 
@@ -667,9 +685,8 @@ def save_model(model, out_dir) -> None:
         "kind": model.kind,
         "config": model.cfg.to_dict(),
         "precision": dg.dtype_name(next(iter(model.params.values())).data),
+        "tasks": [task.value for task in model.tasks],
     }
-    if model.kind == "two_tower":
-        meta["task"] = model.task.value
     (out / "model.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n",
                                     encoding="utf-8")
     dg.save_params(model.params, out / "params.jsonl")
@@ -678,7 +695,8 @@ def save_model(model, out_dir) -> None:
 def load_model(ckpt_dir):
     """Model from ``save_model``; DataError naming the file for a bad checkpoint.
 
-    The parameter names and shapes must be the ones the config builds.
+    The model serves the tasks ``model.json`` records, and the parameter names
+    and shapes must be the ones its config builds.
     """
     ckpt = Path(ckpt_dir)
     meta_path = ckpt / "model.json"
@@ -686,28 +704,31 @@ def load_model(ckpt_dir):
         raise DataError(f"no model.json under {ckpt}")
     try:
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        kind = meta["kind"]
+        kind, tasks = meta["kind"], meta["tasks"]
         cfg = ModelConfig.from_dict(meta["config"])
-        task = Task(meta["task"]) if kind == "two_tower" else None
         precision = meta["precision"]
+        if kind == "mvke":
+            model = MvkeModel(cfg, tasks=tasks)
+        elif kind != "two_tower":
+            raise DataError(f"unknown model kind {kind!r} in {meta_path}")
+        elif len(tasks) == 1 and tasks[0] in TASKS:
+            model = TwoTowerModel(cfg, Task(tasks[0]))
+        else:
+            raise ConfigError(f"a two-tower model has one task of {_names(TASKS)}, got {tasks}")
     except KeyError as e:
         raise DataError(f"{meta_path} has no key {e}") from e
     except (ConfigError, OSError, TypeError, ValueError) as e:
         raise DataError(f"bad {meta_path}: {e}") from e
-    if kind not in ("mvke", "two_tower"):
-        raise DataError(f"unknown model kind {kind!r} in {meta_path}")
     params_path = ckpt / "params.jsonl"
     params = dg.load_params(params_path)
-    built = init_mvke_params(cfg, 0) if task is None else init_two_tower_params(cfg, 0)
-    wrong = sorted(name for name in built.keys() | params.keys()
-                   if name not in built or name not in params
-                   or built[name].shape != params[name].shape)
+    wrong = sorted(name for name in model.params.keys() | params.keys()
+                   if name not in model.params or name not in params
+                   or model.params[name].shape != params[name].shape)
     if wrong:
         raise DataError(f"{params_path}: names or shapes differ from the config at {wrong[:5]}")
     dtypes = sorted({dg.dtype_name(t.data) for t in params.values()})
     if dtypes != [precision]:
         raise DataError(f"{meta_path} records precision {precision!r} "
                         f"but {params_path} holds {dtypes}")
-    if task is None:
-        return MvkeModel(cfg, params=params)
-    return TwoTowerModel(cfg, task, params=params)
+    model.params = params
+    return model

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import diffgraph as dg
 from .errors import ConfigError, DataError
-from .model import MvkeModel, Task, TASKS, encode_examples, encode_user_fields
+from .model import MvkeModel, Task, TASKS, check_task, encode_examples, encode_user_fields
 from .data import Example
 
 def _write_cache(bin_path, index_path, values: np.ndarray, index: dict) -> None:
@@ -132,14 +132,17 @@ class TaskTagCache:
                       "experts": list(self.expert_ids), "tau": self.tau})
 
     @classmethod
-    def load(cls, bin_path, index_path, n_experts: int, embed_dim: int) -> "TaskTagCache":
-        """DataError naming the file unless the index lists distinct expert ids in
-        ``[0, n_experts)`` and a finite ``tau``, and each row holds an
+    def load(cls, bin_path, index_path, task: Task, n_experts: int,
+             embed_dim: int) -> "TaskTagCache":
+        """DataError naming the file unless the index names ``task``, lists distinct
+        expert ids in ``[0, n_experts)`` and a finite ``tau``, and each row holds an
         ``embed_dim``-wide embedding in [-1, 1] (the tag tower ends in tanh), then
         one gate weight in [0, 1] (a softmax) per listed expert."""
         doc, rows = _read_cache(bin_path, index_path, 2)
         try:
-            task, experts, tau = Task(doc["task"]), tuple(doc["experts"]), doc["tau"]
+            experts, tau = tuple(doc["experts"]), doc["tau"]
+            if doc["task"] != task.value:
+                raise ValueError(f"task {doc['task']!r} is not {task.value!r}")
             if (not all(type(e) is int and 0 <= e < n_experts for e in experts)
                     or len(set(experts)) != len(experts)):
                 raise ValueError(f"experts {list(experts)} are not distinct ids "
@@ -166,7 +169,12 @@ class TagCache:
     per_task: dict[Task, TaskTagCache]
 
     def __getitem__(self, task: Task) -> TaskTagCache:
-        return self.per_task[task]
+        """``task``'s cache; ConfigError naming it and the cached tasks if there is none."""
+        try:
+            return self.per_task[task]
+        except KeyError:
+            check_task(task, tuple(self.per_task), "the tag cache")
+            raise
 
 
 @dataclass(eq=False)
@@ -233,7 +241,7 @@ def score_from_cache(user_id: int, tag_id: int, task: Task,
     about half of ``@`` per call on vectors this short.
     """
     user_cache, tag_cache = caches
-    tc = tag_cache.per_task[task]
+    tc = tag_cache[task]
     row = tc.row(tag_id)
     mixing = tc._mixing[row]
     mixed = mixing.dot(user_cache.lookup(user_id)[:len(mixing)])
@@ -387,10 +395,16 @@ def save_caches(caches: tuple[UserCache, TagCache], out_dir) -> None:
 
 
 def load_caches(cache_dir) -> tuple[UserCache, TagCache]:
+    """The caches ``save_caches`` wrote, with the tag cache of each task whose
+    ``tag_cache_<task>.json`` is present; DataError naming the directory if none is."""
     cache = Path(cache_dir)
+    tasks = [task for task in TASKS if (cache / f"tag_cache_{task.value}.json").exists()]
+    if not tasks:
+        raise DataError(f"no tag_cache_<task>.json of any task {[t.value for t in TASKS]} "
+                        f"under {cache}")
     user_cache = UserCache.load(cache / "user_cache.bin", cache / "user_cache.json")
     per_task = {task: TaskTagCache.load(cache / f"tag_cache_{task.value}.bin",
-                                        cache / f"tag_cache_{task.value}.json",
+                                        cache / f"tag_cache_{task.value}.json", task,
                                         *user_cache.vectors.shape[1:])
-                for task in TASKS}
+                for task in tasks}
     return user_cache, TagCache(per_task)

@@ -11,8 +11,8 @@ from . import diffgraph as dg
 from .diffgraph import Tensor
 from .errors import ConfigError, NumericsError, TrainingDivergenceError, prefix_data_errors
 from .evaluation import auc, evaluate, predict_dataset, require_both_labels
-from .model import (EncodedBatch, ModelConfig, MvkeModel, Task, TASKS, encode_examples, mixture,
-                    split_routing, two_tower_forward)
+from .model import (EncodedBatch, ModelConfig, MvkeModel, Task, TASKS, _names, encode_examples,
+                    mixture, split_routing, two_tower_forward)
 
 MODES = ("ctr-only", "cvr-only", "multi")
 
@@ -135,7 +135,8 @@ class Adam:
 def _model_loss(model, batch: EncodedBatch, mode: str) -> Tensor:
     if model.kind == "mvke":
         return mtl_loss(batch, model.cfg, model.params, mode)
-    return dg.bce_loss(two_tower_forward(batch, model.cfg, model.params), batch.label(model.task))
+    (task,) = model.tasks
+    return dg.bce_loss(two_tower_forward(batch, model.cfg, model.params), batch.label(task))
 
 
 def snapshot_params(params: dict[str, Tensor]) -> dict[str, Tensor]:
@@ -145,16 +146,20 @@ def snapshot_params(params: dict[str, Tensor]) -> dict[str, Tensor]:
 
 def fit(model, train_ds: Sequence, valid_ds: Sequence,
         cfg: TrainConfig) -> tuple[dict[str, Tensor], list[dict]]:
-    """Train in shuffled mini-batches, keep the best validation checkpoint.
+    """Train ``model.tasks`` in shuffled mini-batches, keep the best validation checkpoint.
 
     Returns (best params, history rows). The model is left holding the
     best parameters; selection is by mean validation AUC over the trained
     tasks, earliest epoch winning ties. Aborts with epoch and batch index
-    if the loss goes non-finite. Before the first step, refuses
-    (UndefinedMetricError) a validation split on which a trained task has
-    one label value, since its AUC is undefined.
+    if the loss goes non-finite. Before encoding anything, refuses
+    (ConfigError) a ``cfg.mode`` that trains other tasks than the model's;
+    before the first step, (UndefinedMetricError) a validation split on
+    which a trained task has one label value, since its AUC is undefined.
     """
-    tasks = mode_tasks(cfg.mode) if model.kind == "mvke" else model.tasks
+    tasks = model.tasks
+    if mode_tasks(cfg.mode) != tasks:
+        raise ConfigError(f"training mode {cfg.mode!r} trains {_names(mode_tasks(cfg.mode))}, "
+                          f"the model has tasks {_names(tasks)}")
     with prefix_data_errors("training split"):
         train_batch = encode_examples(train_ds, model.cfg.schema)
     with prefix_data_errors("validation split"):
@@ -200,16 +205,17 @@ def fit(model, train_ds: Sequence, valid_ds: Sequence,
 def sensitivity_sweep(expert_counts: Sequence[int], train_ds: Sequence,
                       test_ds: Sequence, base_cfg: ModelConfig, train_cfg: TrainConfig,
                       seed: int = 0) -> list[dict]:
-    """Train and evaluate once per expert count (auto-split routing), shared seed and
-    data; returns one row per count with both task AUCs."""
+    """Train the tasks of ``train_cfg.mode`` and evaluate once per expert count
+    (auto-split routing), shared seed and data; returns one row per count with
+    each task's AUC, None for a task the mode does not train."""
     rows = []
     for k in expert_counts:
         cfg = ModelConfig(schema=base_cfg.schema, routing=split_routing(k),
                           head_hidden=base_cfg.head_hidden, tau_init=base_cfg.tau_init)
-        model = MvkeModel(cfg, seed=seed)
+        model = MvkeModel(cfg, seed=seed, tasks=mode_tasks(train_cfg.mode))
         fit(model, train_ds, test_ds, train_cfg)
-        report = evaluate(model, test_ds, model_id=f"mvke-k{k}", seed=seed)
+        aucs = evaluate(model, test_ds).aucs
         rows.append({"n_experts": k,
-                     "ctr_auc": report.aucs[Task.CTR],
-                     "cvr_auc": report.aucs[Task.CVR]})
+                     "ctr_auc": aucs.get(Task.CTR),
+                     "cvr_auc": aucs.get(Task.CVR)})
     return rows

@@ -13,7 +13,7 @@ import mvke
 import mvke.data
 import mvke.diffgraph as dg
 import mvke.errors
-from mvke.cli import main
+from mvke.cli import build_parser, main
 
 
 TINY_CONFIG = {
@@ -155,6 +155,12 @@ def _drop_kind(ckpt):
     (ckpt / "model.json").write_text(json.dumps(meta))
 
 
+def _drop_tasks(ckpt):
+    meta = json.loads((ckpt / "model.json").read_text())
+    del meta["tasks"]
+    (ckpt / "model.json").write_text(json.dumps(meta))
+
+
 def _drop_last_param(ckpt):
     lines = (ckpt / "params.jsonl").read_text().splitlines(keepends=True)
     (ckpt / "params.jsonl").write_text("".join(lines[:-1]))
@@ -229,6 +235,7 @@ def _config_value(key, value):
     (_config_value("bogus", 1), "model.json: unknown fields ['bogus']"),
     (_config_value("head_hidden", -3), "model.json: field 'head_hidden'"),
     (_drop_model_json, "no model.json under"),
+    (_drop_tasks, "model.json has no key 'tasks'"),
 ])
 def test_eval_on_broken_checkpoint_is_data_error(pipeline, tmp_path, capsys,
                                                  break_it, names):
@@ -357,7 +364,7 @@ def test_mode_flag_controls_model_kind(pipeline, tmp_path, capsys):
                  "--out", str(out), "--mode", "noMTL-ctr"]) == 0
     meta = json.loads((out / "checkpoint" / "model.json").read_text())
     assert meta["kind"] == "two_tower"
-    assert meta["task"] == "ctr"
+    assert meta["tasks"] == ["ctr"]
     history = read_csv(out / "history.csv")
     assert history[0]["cvr_auc"] == ""
     for command in ("predict", "bench", "export-attention"):
@@ -366,6 +373,72 @@ def test_mode_flag_controls_model_kind(pipeline, tmp_path, capsys):
         assert main([command, "--config", cfg, *data, "--ckpt", str(out / "checkpoint"),
                      "--out", str(tmp_path / command)]) == 1
         assert f"{command} needs a mixture checkpoint" in capsys.readouterr().err
+
+
+def test_a_single_task_mixture_is_reported_and_served_for_its_task_alone(pipeline, tmp_path):
+    _, cfg, data_dir, _ = pipeline
+    ckpt = str(tmp_path / "run" / "checkpoint")
+    assert main(["train", "--config", cfg, "--data", str(data_dir),
+                 "--out", str(tmp_path / "run"), "--mode", "mvke-st-cvr"]) == 0
+    meta = json.loads((tmp_path / "run" / "checkpoint" / "model.json").read_text())
+    assert (meta["kind"], meta["tasks"]) == ("mvke", ["cvr"])
+    for command in ("eval", "predict", "export-attention", "bench"):
+        data = [] if command == "export-attention" else ["--data", str(data_dir)]
+        assert main([command, "--config", cfg, *data, "--ckpt", ckpt,
+                     "--out", str(tmp_path / command)]) == 0
+    report = read_csv(tmp_path / "eval" / "report.csv")
+    assert [(r["model"], r["task"]) for r in report] == [("mvke-st-cvr", "cvr")]
+    for path in ("predict/assignments.csv", "export-attention/weights.csv"):
+        assert {r["task"] for r in read_csv(tmp_path / path)} == {"cvr"}, path
+    assert sorted(p.name for p in (tmp_path / "predict" / "caches").iterdir()) == [
+        "tag_cache_cvr.bin", "tag_cache_cvr.json", "user_cache.bin", "user_cache.json"]
+    bench = read_csv(tmp_path / "bench" / "bench.csv")[0]
+    assert (bench["n_tasks"], bench["cached_tag_tower"]) == ("1", "5")
+
+
+def test_eval_labels_the_report_from_the_checkpoint_not_the_config(pipeline, tmp_path):
+    _, _, data_dir, train_dir = pipeline
+    nomtl = tmp_path / "nomtl"
+    assert main(["train", "--config", write_config(tmp_path, {"mode": "noMTL-ctr"}),
+                 "--data", str(data_dir), "--out", str(nomtl)]) == 0
+    cfg = write_config(tmp_path, {"mode": "noMTL-cvr", "seed": 7})
+    for ckpt, mode, tasks in ((train_dir, "mvke-mt", ["ctr", "cvr"]),
+                              (nomtl, "noMTL-ctr", ["ctr"])):
+        out = tmp_path / mode
+        assert main(["eval", "--config", cfg, "--data", str(data_dir),
+                     "--ckpt", str(ckpt / "checkpoint"), "--out", str(out)]) == 0
+        rows = read_csv(out / "report.csv")
+        assert [(r["model"], r["seed"], r["task"]) for r in rows] == [
+            (mode, "7", task) for task in tasks]
+
+
+def test_eval_has_no_mode_flag(pipeline, tmp_path, capsys):
+    _, cfg, data_dir, train_dir = pipeline
+    assert main(["eval", "--config", cfg, "--data", str(data_dir),
+                 "--ckpt", str(train_dir / "checkpoint"), "--out", str(tmp_path),
+                 "--mode", "noMTL-ctr"]) == 1
+    assert "unrecognized arguments: --mode noMTL-ctr" in capsys.readouterr().err
+
+
+def test_multi_task_training_without_a_shared_expert_is_a_config_error(pipeline, tmp_path,
+                                                                        capsys):
+    _, _, data_dir, _ = pipeline
+    cfg = write_config(tmp_path, {"model": {"n_experts": 4, "ctr_experts": [0, 1],
+                                            "cvr_experts": [2, 3]}})
+    assert main(["train", "--config", cfg, "--data", str(data_dir),
+                 "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "shared expert" in err
+    assert not (tmp_path / "run" / "checkpoint").exists()
+
+
+def test_sweep_in_a_single_task_mode_leaves_the_other_tasks_cells_empty(pipeline, tmp_path):
+    _, _, data_dir, _ = pipeline
+    cfg = write_config(tmp_path, {"mode": "noMTL-cvr", "eval": {"sweep_counts": [4]}})
+    assert main(["sweep", "--config", cfg, "--data", str(data_dir),
+                 "--out", str(tmp_path / "sweep")]) == 0
+    (row,) = read_csv(tmp_path / "sweep" / "sweep.csv")
+    assert row["n_experts"] == "4" and row["ctr_auc"] == "" and 0 <= float(row["cvr_auc"]) <= 1
 
 
 def test_vke_count_flag_overrides_routing(pipeline, tmp_path):
@@ -638,6 +711,17 @@ def test_divergence_exits_3(tmp_path):
     code = main(["train", "--config", cfg, "--data", str(data_dir),
                  "--out", str(tmp_path / "boom")])
     assert code == 3
+
+
+def test_every_command_of_the_readme_usage_block_parses():
+    """A flag the CLI no longer has cannot stay documented."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```")[1]
+    commands = [line.split()[1:] for line in block.splitlines() if line.startswith("mvke ")]
+    assert len(commands) == 7
+    parser = build_parser()
+    for argv in commands:
+        assert parser.parse_args(argv).command == argv[0]
 
 
 def test_usage_error_exits_nonzero():

@@ -188,3 +188,14 @@ def test_write_csv_handles_none(tmp_path):
     path = tmp_path / "out.csv"
     E.write_csv(rows, path)
     assert path.read_text() == "a,b\n1,\n2,0.5\n"
+
+
+def test_sweep_in_a_single_task_mode_trains_and_reports_that_task_alone(tiny_gen):
+    train, test, _, mcfg = tiny_gen
+    tcfg = T.TrainConfig(epochs=1, seed=5, mode="cvr-only")
+    rows = T.sensitivity_sweep([5], train[:600], test[:600], mcfg, tcfg, seed=4)
+    direct = M.MvkeModel(M.ModelConfig(schema=mcfg.schema, routing=M.split_routing(5)),
+                         seed=4, tasks=(Task.CVR,))
+    T.fit(direct, train[:600], test[:600], tcfg)
+    assert rows == [{"n_experts": 5, "ctr_auc": None,
+                     "cvr_auc": E.evaluate(direct, test[:600]).aucs[Task.CVR]}]

@@ -913,3 +913,53 @@ def test_non_finite_two_tower_prediction_is_numerics_error(small_cfg, small_batc
     batch = M.encode_examples(small_batch_examples, small_cfg.schema)
     with pytest.raises(NumericsError, match="cvr predictions"):
         model.predict(batch, Task.CVR)
+
+
+# ---------------------------------------------------------------------------
+# a model's tasks
+
+
+@pytest.mark.parametrize("tasks", [(), (Task.CVR, Task.CTR), (Task.CTR, Task.CTR), ("bogus",)],
+                         ids=["none", "reversed", "repeated", "unknown"])
+def test_mixture_refuses_tasks_that_are_not_a_subsequence_of_the_tasks(small_cfg, tasks):
+    with pytest.raises(ConfigError, match="non-empty subsequence of"):
+        M.MvkeModel(small_cfg, seed=1, tasks=tasks)
+
+
+def test_a_model_refuses_a_task_it_was_not_built_for(small_cfg, small_batch_examples):
+    batch = M.encode_examples(small_batch_examples, small_cfg.schema)
+    mixture = M.MvkeModel(small_cfg, seed=1, tasks=(Task.CVR,))
+    baseline = M.TwoTowerModel(small_cfg, Task.CVR, seed=1)
+    for call in (lambda: mixture.predict(batch, Task.CTR),
+                 lambda: mixture.tag_side(Task.CTR, [0, 1]),
+                 lambda: baseline.predict(batch, Task.CTR)):
+        with pytest.raises(ConfigError, match=r"no 'ctr' task, only \['cvr'\]"):
+            call()
+    # the task it has gives the two-task mixture's numbers of that task
+    both = M.MvkeModel(small_cfg, seed=1)
+    np.testing.assert_array_equal(mixture.predict(batch, Task.CVR), both.predict(batch, Task.CVR))
+    assert mixture.counters == {"user_tower": len(small_batch_examples),
+                                "tag_tower": len(small_batch_examples)}
+
+
+@pytest.mark.parametrize("tasks", [(Task.CTR,), (Task.CVR,), M.TASKS], ids=lambda t: len(t))
+def test_checkpoint_records_and_restores_the_mixtures_tasks(small_cfg, tmp_path, tasks):
+    M.save_model(M.MvkeModel(small_cfg, seed=1, tasks=tasks), tmp_path)
+    meta = json.loads((tmp_path / "model.json").read_text())
+    assert meta["tasks"] == [t.value for t in tasks]
+    assert M.load_model(tmp_path).tasks == tasks
+
+
+@pytest.mark.parametrize("kind, tasks", [
+    ("mvke", "ctr"), ("mvke", []), ("mvke", ["cvr", "ctr"]), ("mvke", ["bogus"]),
+    ("two_tower", ["ctr", "cvr"]), ("two_tower", []), ("two_tower", ["bogus"]),
+])
+def test_a_checkpoint_whose_tasks_its_kind_cannot_serve_is_a_data_error(small_cfg, tmp_path,
+                                                                         kind, tasks):
+    model = (M.MvkeModel(small_cfg, seed=1) if kind == "mvke"
+             else M.TwoTowerModel(small_cfg, Task.CVR, seed=1))
+    M.save_model(model, tmp_path)
+    meta = json.loads((tmp_path / "model.json").read_text())
+    (tmp_path / "model.json").write_text(json.dumps({**meta, "tasks": tasks}))
+    with pytest.raises(DataError, match=r"bad .*model\.json: .*task"):
+        M.load_model(tmp_path)

@@ -622,3 +622,57 @@ def test_cache_shape_must_have_its_rank_and_a_row_per_id(saved, name, shape):
     _rewrite_index(saved / name, shape=shape(*doc["shape"]))
     with pytest.raises(DataError, match=re.escape(name.replace(".json", ".bin"))):
         S.load_caches(saved)
+
+
+# ---------------------------------------------------------------------------
+# the caches of a single-task mixture
+
+
+@pytest.fixture(scope="module")
+def cvr_served():
+    with dg.precision("f32"):
+        cfg = D.GeneratorConfig(**SMALL)
+        _, test, _ = D.generate(cfg)
+        mcfg = M.ModelConfig(schema=D.schema_for(cfg, embed_dim=8),
+                             routing=M.five_expert_routing())
+        model = M.MvkeModel(mcfg, seed=1, tasks=(Task.CVR,))
+        users = D.user_roster(test)
+        yield model, users, S.build_caches(model, users, range(cfg.n_tags))
+
+
+def test_single_task_caches_round_trip_with_their_task_alone(tmp_path, cvr_served):
+    model, users, caches = cvr_served
+    assert list(caches[1].per_task) == [Task.CVR]
+    assert model.counters["tag_tower"] == SMALL["n_tags"]
+    S.save_caches(caches, tmp_path)
+    assert sorted(p.name for p in tmp_path.glob("tag_cache_*")) == [
+        "tag_cache_cvr.bin", "tag_cache_cvr.json"]
+    again = S.load_caches(tmp_path)
+    assert list(again[1].per_task) == [Task.CVR]
+    assert (S.assign_topk(again, 4, Task.CVR).entries
+            == S.assign_topk(caches, 4, Task.CVR).entries)
+
+
+def test_an_absent_task_of_the_tag_cache_is_a_config_error_naming_the_cached_ones(cvr_served):
+    _, users, caches = cvr_served
+    for call in (lambda: caches[1][Task.CTR],
+                 lambda: S.assign_topk(caches, 3, Task.CTR),
+                 lambda: S.score_from_cache(users[0][0], 2, Task.CTR, caches)):
+        with pytest.raises(ConfigError, match=r"tag cache has no 'ctr' task, only \['cvr'\]"):
+            call()
+
+
+def test_a_cache_directory_without_a_tag_cache_is_a_data_error_naming_it(tmp_path, cvr_served):
+    S.save_caches(cvr_served[2], tmp_path)
+    for name in ("tag_cache_cvr.json", "tag_cache_cvr.bin"):
+        (tmp_path / name).unlink()
+    with pytest.raises(DataError, match=re.escape(str(tmp_path))):
+        S.load_caches(tmp_path)
+
+
+def test_a_tag_cache_index_naming_another_task_is_a_data_error(tmp_path, cvr_served):
+    S.save_caches(cvr_served[2], tmp_path)
+    for ext in ("bin", "json"):
+        (tmp_path / f"tag_cache_cvr.{ext}").rename(tmp_path / f"tag_cache_ctr.{ext}")
+    with pytest.raises(DataError, match=r"tag_cache_ctr\.json: task 'cvr' is not 'ctr'"):
+        S.load_caches(tmp_path)

@@ -192,7 +192,8 @@ def test_fit_refuses_a_validation_split_with_one_label_value_before_its_first_st
         np.testing.assert_array_equal(model.params[name].data, arr)
     # a fit that validates only the other task does not need both labels of this one
     other = "ctr-only" if field == "conversion_label" else "cvr-only"
-    T.fit(M.MvkeModel(mcfg, seed=0), train[:256], valid, T.TrainConfig(epochs=1, mode=other))
+    T.fit(M.MvkeModel(mcfg, seed=0, tasks=T.mode_tasks(other)), train[:256], valid,
+          T.TrainConfig(epochs=1, mode=other))
 
 
 def test_fit_zero_learning_rate_keeps_params_and_baseline_auc(tiny_data):
@@ -261,7 +262,7 @@ def test_fit_loss_decreases_over_first_three_epochs(tiny_data):
 
 def test_single_task_step_leaves_other_task_params_untouched(tiny_data):
     train, test, mcfg = tiny_data
-    model = M.MvkeModel(mcfg, seed=2)
+    model = M.MvkeModel(mcfg, seed=2, tasks=(Task.CTR,))
     frozen = {n: t.data.copy() for n, t in model.params.items()}
     T.fit(model, train[:512], test[:256], T.TrainConfig(epochs=1, mode="ctr-only"))
     # cvr-exclusive experts (3, 4) and the cvr slice of the tag tower, gate, and temperature
@@ -373,3 +374,20 @@ def test_two_tower_fit_works(tiny_data):
                        T.TrainConfig(epochs=1, mode="cvr-only"))
     assert history[0]["cvr_auc"] is not None
     assert history[0]["ctr_auc"] is None
+
+
+@pytest.mark.parametrize("build, mode", [
+    (lambda mcfg: M.MvkeModel(mcfg, seed=0), "cvr-only"),
+    (lambda mcfg: M.MvkeModel(mcfg, seed=0, tasks=(Task.CVR,)), "multi"),
+    (lambda mcfg: M.MvkeModel(mcfg, seed=0, tasks=(Task.CVR,)), "ctr-only"),
+    (lambda mcfg: M.TwoTowerModel(mcfg, Task.CVR, seed=0), "multi"),
+], ids=["mt-model-cvr-only", "cvr-model-multi", "cvr-model-ctr-only", "two-tower-cvr-multi"])
+def test_fit_refuses_a_mode_whose_tasks_are_not_the_models_before_encoding(tiny_data, build,
+                                                                           mode):
+    _, test, mcfg = tiny_data
+    model = build(mcfg)
+    # a row of the wrong width would fail encoding with a DataError
+    bad = [FakeExample((0,), (0,))]
+    with pytest.raises(ConfigError, match=rf"mode '{mode}' trains \[.*\], "
+                                          rf"the model has tasks \[.*\]"):
+        T.fit(model, bad, test, T.TrainConfig(epochs=1, mode=mode))
